@@ -6,8 +6,9 @@
 // pool shards behind one router (see internal/fabric): tasks are placed by
 // consistent hashing of their content, workers are pinned to shards on
 // join, and idle shards steal work across the fabric so straggler
-// mitigation stays global. -shards 1 (the default) speaks byte-for-byte
-// the same protocol as the historical single-mutex server.
+// mitigation stays global. -shards 1 (the default) is the single-pool
+// server; its protocol is pinned byte-for-byte by
+// internal/fabric/testdata/single_shard_compat.golden.
 //
 // With -persist-dir the fabric journals every durable mutation through a
 // per-shard append-only op log and periodically compacts it into per-shard

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -134,7 +133,7 @@ func (fs *followerState) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if promoted {
 		role = "primary"
 	}
-	writeJSONTo(w, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":                 true,
 		"role":               role,
 		"uptime_ms":          time.Since(fs.startedAt).Milliseconds(),
@@ -166,7 +165,7 @@ func (fs *followerState) handlePromote(w http.ResponseWriter, r *http.Request) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.promoted != nil {
-		writeJSONTo(w, map[string]any{"ok": true, "role": "primary", "already": true, "shards": fs.fol.Shards()})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "role": "primary", "already": true, "shards": fs.fol.Shards()})
 		return
 	}
 	fs.fol.Stop()
@@ -203,10 +202,5 @@ func (fs *followerState) handlePromote(w http.ResponseWriter, r *http.Request) {
 	fs.promoted = fab
 	log.Printf("promoted: serving %d shard(s) recovered from %s as node %d/%d",
 		shards, fs.persist.Dir, fs.nodeIndex, fs.nodeCount)
-	writeJSONTo(w, map[string]any{"ok": true, "role": "primary", "shards": shards})
-}
-
-func writeJSONTo(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "role": "primary", "shards": shards})
 }

@@ -17,14 +17,16 @@ import (
 	"sync"
 	"time"
 
+	"github.com/clamshell/clamshell/internal/fabric"
 	"github.com/clamshell/clamshell/internal/server"
 )
 
 func main() {
-	srv := server.New(server.Config{
+	// A 1-shard fabric is the single-pool routing server.
+	srv := fabric.New(server.Config{
 		SpeculationLimit:     1,
 		MaintenanceThreshold: 300 * time.Millisecond, // retire slow workers
-	})
+	}, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	fmt.Printf("routing server listening at %s\n", ts.URL)

@@ -17,8 +17,8 @@
 //
 // Ids are globally unique and shard-addressable: shard s of n allocates
 // ids ≡ s+1 (mod n), so routing an id to its shard is (id-1) mod n with no
-// shared state. A 1-shard fabric speaks byte-for-byte the same protocol as
-// internal/server (pinned by this package's compat test).
+// shared state. A 1-shard fabric is the single-pool server; its protocol is
+// pinned byte-for-byte by testdata/single_shard_compat.golden.
 //
 // Shard methods never call across shards, so the router sequences
 // cross-shard operations (a stolen fetch, a submit whose worker and task
@@ -27,7 +27,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -36,8 +35,9 @@ import (
 	"github.com/clamshell/clamshell/internal/server"
 )
 
-// Fabric is a sharded retainer-pool router. It implements http.Handler
-// with the same API surface as internal/server.
+// Fabric is a sharded retainer-pool node. It implements http.Handler:
+// the core protocol routes plus the admin surface (status, workers, costs,
+// consensus, snapshot/restore, health, metrics and the worker UI).
 type Fabric struct {
 	cfg       server.Config
 	shards    []*server.Shard
@@ -103,7 +103,7 @@ func NewNode(cfg server.Config, m, nodeIndex, nodeCount int) *Fabric {
 	f.mux.HandleFunc("GET /api/workers", f.handleWorkers)
 	f.mux.HandleFunc("GET /api/costs", f.handleCosts)
 	f.mux.HandleFunc("GET /api/consensus", f.handleConsensus)
-	f.mux.HandleFunc("GET /api/snapshot", f.handleSnapshot)
+	f.mux.HandleFunc("GET /api/snapshot", serveSnapshot(f.Snapshot))
 	f.mux.HandleFunc("POST /api/restore", f.handleRestore)
 	f.mux.HandleFunc("GET /api/healthz", f.handleHealthz)
 	f.mux.HandleFunc("GET /api/metricsz", f.handleMetricsz)
@@ -195,16 +195,4 @@ func (f *Fabric) release(sh *server.Shard) {
 			t.ReleaseActive(o.Task, o.Worker)
 		}
 	}
-}
-
-// writeJSON and writeErr mirror internal/server's encoders exactly —
-// responses must be byte-identical for a 1-shard fabric.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -244,7 +244,7 @@ func TestExpiryReleasesStolenWork(t *testing.T) {
 }
 
 // Snapshots resize: state taken from an 8-shard fabric restores onto a
-// 3-shard fabric and onto a plain single server, preserving results,
+// 3-shard fabric and onto a 1-shard fabric, preserving results,
 // counters and id uniqueness.
 func TestSnapshotResize(t *testing.T) {
 	_, cl := newTestFabric(t, server.Config{}, 8)

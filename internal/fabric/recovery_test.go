@@ -118,7 +118,7 @@ func TestFabricSubmitReplayIdempotent(t *testing.T) {
 }
 
 // Fabric query parsing must reject trailing garbage identically to the
-// single server.
+// 1-shard protocol.
 func TestFabricBadQueryParamsRejected(t *testing.T) {
 	fab := New(server.Config{WorkerTimeout: time.Hour}, 4)
 	ts := httptest.NewServer(fab)

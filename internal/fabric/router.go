@@ -41,7 +41,7 @@ func NewRouter(nodes []*RemoteShard, now func() time.Time) *Router {
 	rt := &Router{nodes: nodes, now: now, startedAt: now()}
 	rt.mux = http.NewServeMux()
 	server.RegisterCoreRoutes(rt.mux, rt)
-	rt.mux.HandleFunc("GET /api/snapshot", rt.handleSnapshot)
+	rt.mux.HandleFunc("GET /api/snapshot", serveSnapshot(rt.Snapshot))
 	rt.mux.HandleFunc("GET /api/healthz", rt.handleHealthz)
 	return rt
 }
@@ -180,7 +180,7 @@ func (rt *Router) CoreResult(taskID int) (server.TaskStatus, bool) {
 }
 
 // Snapshot merges every node's snapshot document into one fabric-wide
-// document in the single-server codec.
+// document in the 1-shard snapshot codec.
 func (rt *Router) Snapshot() ([]byte, error) {
 	states := make([]server.SnapshotState, 0, len(rt.nodes))
 	for _, node := range rt.nodes {
@@ -197,20 +197,6 @@ func (rt *Router) Snapshot() ([]byte, error) {
 	return server.EncodeSnapshot(mergeStates(states))
 }
 
-func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := rt.Snapshot()
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, server.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reachable := 0
 	for _, node := range rt.nodes {
@@ -218,7 +204,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			reachable++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":              reachable > 0,
 		"role":            "router",
 		"uptime_ms":       rt.now().Sub(rt.startedAt).Milliseconds(),

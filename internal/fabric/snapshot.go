@@ -10,18 +10,17 @@ import (
 	"github.com/clamshell/clamshell/internal/server"
 )
 
-// Fabric-wide persistence facade. The wire format is exactly the single
-// server's snapshot: per-shard states merge into one document on the way
-// out and split back across shards on the way in. Because restore routes
-// each task by the universal (id-1) mod n rule and shard id counters
-// realign to their stripe past any restored id, a snapshot taken on an
-// n-shard fabric restores cleanly onto an m-shard fabric (or a plain
-// server) for any n and m — resizing the fabric is a snapshot/restore
-// away. The journal engine's resize-on-restore path (persist.go) rides the
-// same merge/split helpers.
+// Fabric-wide persistence facade. The wire format is exactly one shard's
+// snapshot: per-shard states merge into one document on the way out and
+// split back across shards on the way in. Because restore routes each
+// task by the universal (id-1) mod n rule and shard id counters realign to
+// their stripe past any restored id, a snapshot taken on an n-shard fabric
+// restores cleanly onto an m-shard fabric for any n and m — resizing the
+// fabric is a snapshot/restore away. The journal engine's
+// resize-on-restore path (persist.go) rides the same merge/split helpers.
 
 // mergeStates folds per-shard durable states into one document in the
-// single-server wire format. Global submission order is not tracked across
+// 1-shard wire format. Global submission order is not tracked across
 // shards; id order is the best-effort merge (per-shard FIFO is preserved
 // because each shard allocates monotonically within its stripe).
 func mergeStates(states []server.SnapshotState) server.SnapshotState {
@@ -82,7 +81,7 @@ func splitState(st server.SnapshotState, n int) []server.SnapshotState {
 }
 
 // Snapshot merges every shard's durable state into one document in the
-// single-server wire format.
+// 1-shard wire format.
 func (f *Fabric) Snapshot() ([]byte, error) {
 	if len(f.shards) == 1 {
 		return f.shards[0].Snapshot()
@@ -127,27 +126,35 @@ func (f *Fabric) Restore(data []byte) error {
 	return nil
 }
 
-// handleSnapshot serves the merged durable state as JSON.
-func (f *Fabric) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := f.Snapshot()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+// serveSnapshot serves a node's (or a router's) merged durable state as
+// JSON. A router whose node is unreachable answers 503, retryable, rather
+// than 500.
+func serveSnapshot(snapshot func() ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		data, err := snapshot()
+		if err != nil {
+			status := http.StatusInternalServerError
+			if errors.Is(err, server.ErrUnavailable) {
+				status = http.StatusServiceUnavailable
+			}
+			server.WriteErr(w, status, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 // handleRestore loads durable state from the request body.
 func (f *Fabric) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var buf json.RawMessage
 	if err := json.NewDecoder(r.Body).Decode(&buf); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading snapshot body: %w", err))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("reading snapshot body: %w", err))
 		return
 	}
 	if err := f.Restore(buf); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	server.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

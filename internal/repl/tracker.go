@@ -89,13 +89,17 @@ func (t *Tracker) Positions() []Position {
 // reached (the mutating ack may claim follower durability) and false on
 // timeout (the ack is released anyway; the caller counts the degradation).
 func (t *Tracker) Wait(targets []Position, timeout time.Duration) bool {
+	// The timer flips expired under mu, so its broadcast cannot slip in
+	// between the loop's check and cond.Wait: either the waiter sees the
+	// flag, or it is already parked when the broadcast lands.
+	expired := false
 	deadline := time.AfterFunc(timeout, func() {
 		t.mu.Lock()
+		expired = true
 		t.cond.Broadcast()
 		t.mu.Unlock()
 	})
 	defer deadline.Stop()
-	expire := time.Now().Add(timeout)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
@@ -109,7 +113,7 @@ func (t *Tracker) Wait(targets []Position, timeout time.Duration) bool {
 		if ok {
 			return true
 		}
-		if time.Now().After(expire) {
+		if expired {
 			return false
 		}
 		t.cond.Wait()

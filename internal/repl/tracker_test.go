@@ -55,3 +55,25 @@ func TestTrackerObserveWait(t *testing.T) {
 		t.Fatal("Wait failed on already-reached targets")
 	}
 }
+
+// Regression: a 1µs timeout can fire before the waiter takes the lock. The
+// timer's broadcast must not be lost, or Wait parks forever.
+func TestTrackerWaitShortTimeoutNeverHangs(t *testing.T) {
+	tr := NewTracker(1)
+	unreached := []Position{{Gen: 1, Off: 8}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10000; i++ {
+			if tr.Wait(unreached, time.Microsecond) {
+				t.Errorf("iteration %d: Wait reported an unreached target", i)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait with a 1µs timeout blocked past the 10s watchdog")
+	}
+}

@@ -1,15 +1,32 @@
-package server
+package server_test
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/clamshell/clamshell/internal/fabric"
+	"github.com/clamshell/clamshell/internal/server"
 )
+
+// The admin surface (healthz, metrics, consensus, the worker UI) is served
+// by the fabric node — fabric.New(cfg, 1) is the single-pool server — so
+// these tests drive it over HTTP from outside the package.
+
+// startNode serves a 1-shard fabric and returns a client for it.
+func startNode(t *testing.T, cfg server.Config) *server.Client {
+	t.Helper()
+	ts := httptest.NewServer(fabric.New(cfg, 1))
+	t.Cleanup(ts.Close)
+	return server.NewClient(ts.URL)
+}
 
 func TestHealthzReportsUptime(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s, c := startServer(t, Config{Now: func() time.Time { return now }})
-	_ = s
+	c := startNode(t, server.Config{Now: func() time.Time { return now }})
+	now = now.Add(1500 * time.Millisecond)
 	r, err := c.HTTP.Get(c.BaseURL + "/api/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -18,15 +35,25 @@ func TestHealthzReportsUptime(t *testing.T) {
 	if r.StatusCode != 200 {
 		t.Fatalf("healthz status %d, want 200", r.StatusCode)
 	}
+	var body struct {
+		OK       bool  `json:"ok"`
+		UptimeMS int64 `json:"uptime_ms"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !body.OK || body.UptimeMS != 1500 {
+		t.Fatalf("healthz = %+v, want ok with uptime_ms 1500", body)
+	}
 }
 
 func TestMetricszExposesCountersAndQuantiles(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	_, c := startServer(t, Config{Now: clock})
+	c := startNode(t, server.Config{Now: clock})
 
 	wid, _ := c.Join("w")
-	c.SubmitTasks([]TaskSpec{
+	c.SubmitTasks([]server.TaskSpec{
 		{Records: []string{"a", "b"}, Classes: 2},
 		{Records: []string{"c"}, Classes: 2},
 	})
@@ -65,9 +92,9 @@ func TestMetricszExposesCountersAndQuantiles(t *testing.T) {
 
 func TestMetricszLatencyQuantileValue(t *testing.T) {
 	now := time.Unix(1000, 0)
-	_, c := startServer(t, Config{Now: func() time.Time { return now }})
+	c := startNode(t, server.Config{Now: func() time.Time { return now }})
 	wid, _ := c.Join("w")
-	c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
+	c.SubmitTasks([]server.TaskSpec{{Records: []string{"a"}, Classes: 2}})
 	a, _, _ := c.FetchTask(wid)
 	now = now.Add(6 * time.Second)
 	c.Submit(wid, a.TaskID, []int{0})

@@ -1,30 +1,27 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
 )
 
-func fetchCosts(t *testing.T, c *Client) map[string]float64 {
-	t.Helper()
-	r, err := c.HTTP.Get(c.BaseURL + "/api/costs")
-	if err != nil {
-		t.Fatal(err)
+// fetchCosts reads the shard's accrued spend (the /api/costs view) in
+// dollars, keyed like that endpoint's JSON.
+func fetchCosts(s *Shard) map[string]float64 {
+	acct := s.AccruedCosts()
+	return map[string]float64{
+		"wait_pay_dollars":       acct.WaitPay.Dollars(),
+		"work_pay_dollars":       acct.WorkPay.Dollars(),
+		"terminated_pay_dollars": acct.TerminatedPay.Dollars(),
+		"total_dollars":          acct.Total().Dollars(),
 	}
-	defer r.Body.Close()
-	var out map[string]float64
-	if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestCostsWaitPayAccrues(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	id, _ := c.Join("idler")
 	// A live idler heartbeats; ten one-minute waits accrue in full.
 	for i := 0; i < 10; i++ {
@@ -33,32 +30,32 @@ func TestCostsWaitPayAccrues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	costs := fetchCosts(t, c)
+	costs := fetchCosts(s)
 	// $.05/min x 10 min = $0.50.
 	if math.Abs(costs["wait_pay_dollars"]-0.5) > 1e-6 {
 		t.Fatalf("wait pay = %v, want 0.5", costs["wait_pay_dollars"])
 	}
 }
 
-// A worker that stops heartbeating must stop billing wait pay: /api/costs
-// expires stale workers before accruing, and a dead worker's wait span is
+// A worker that stops heartbeating must stop billing wait pay: the costs
+// view expires stale workers before accruing, and a dead worker's wait span is
 // clipped at the moment its liveness lapsed (last heartbeat + timeout) —
 // not at whenever the expiry happened to be noticed.
 func TestCostsDeadWorkerWaitPayCutoff(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock, WorkerTimeout: 2 * time.Minute})
+	c, s := newTestServer(t, Config{Now: clock, WorkerTimeout: 2 * time.Minute})
 	c.Join("ghost")
 	// The ghost never heartbeats again. An hour later, the first costs call
 	// must bill only the 2 minutes of provable liveness, not the hour.
 	now = now.Add(time.Hour)
-	costs := fetchCosts(t, c)
+	costs := fetchCosts(s)
 	if math.Abs(costs["wait_pay_dollars"]-0.10) > 1e-6 {
 		t.Fatalf("wait pay = %v, want 0.10 (join to liveness lapse only)", costs["wait_pay_dollars"])
 	}
 	// The accrual is settled, not per-view: asking again later adds nothing.
 	now = now.Add(time.Hour)
-	costs = fetchCosts(t, c)
+	costs = fetchCosts(s)
 	if math.Abs(costs["wait_pay_dollars"]-0.10) > 1e-6 {
 		t.Fatalf("wait pay after second view = %v, want 0.10", costs["wait_pay_dollars"])
 	}
@@ -67,7 +64,7 @@ func TestCostsDeadWorkerWaitPayCutoff(t *testing.T) {
 func TestCostsWorkAndTerminatedPay(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock, SpeculationLimit: 1})
+	c, s := newTestServer(t, Config{Now: clock, SpeculationLimit: 1})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b", "c"}, Classes: 2}})
 
 	w1, _ := c.Join("winner")
@@ -77,7 +74,7 @@ func TestCostsWorkAndTerminatedPay(t *testing.T) {
 	c.Submit(w1, ids[0], []int{0, 1, 0})
 	c.Submit(w2, ids[0], []int{1, 1, 1}) // terminated but paid
 
-	costs := fetchCosts(t, c)
+	costs := fetchCosts(s)
 	// 3 records at $.02 each, for both completed and terminated.
 	if math.Abs(costs["work_pay_dollars"]-0.06) > 1e-6 {
 		t.Fatalf("work pay = %v, want 0.06", costs["work_pay_dollars"])
@@ -93,7 +90,7 @@ func TestCostsWorkAndTerminatedPay(t *testing.T) {
 func TestCostsWaitPausesWhileWorking(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
 	w, _ := c.Join("worker")
 	now = now.Add(2 * time.Minute) // waits 2 min
@@ -101,7 +98,7 @@ func TestCostsWaitPausesWhileWorking(t *testing.T) {
 	now = now.Add(30 * time.Minute) // works 30 min: NOT wait-paid
 	c.Submit(w, ids[0], []int{0})
 	now = now.Add(1 * time.Minute) // waits 1 min after
-	costs := fetchCosts(t, c)
+	costs := fetchCosts(s)
 	// 3 minutes of waiting at $.05 = $0.15; plus $0.02 work pay.
 	if math.Abs(costs["wait_pay_dollars"]-0.15) > 1e-6 {
 		t.Fatalf("wait pay = %v, want 0.15 (work time must not accrue)", costs["wait_pay_dollars"])
@@ -111,12 +108,23 @@ func TestCostsWaitPausesWhileWorking(t *testing.T) {
 func TestCostsCustomRates(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	srv := New(Config{Now: clock, Costs: CostConfig{
+	c, s := newTestServer(t, Config{Now: clock, WorkerTimeout: time.Hour, Costs: CostConfig{
 		WaitPayPerMin: 10_000,  // $0.01/min
 		RecordPay:     100_000, // $0.10/record
 	}})
-	_ = srv
-	// Rates validated through the default-fill path.
+	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b"}, Classes: 2}})
+	w, _ := c.Join("worker")
+	now = now.Add(3 * time.Minute) // waits 3 min
+	c.FetchTask(w)
+	c.Submit(w, ids[0], []int{0, 1})
+	costs := fetchCosts(s)
+	if math.Abs(costs["wait_pay_dollars"]-0.03) > 1e-6 {
+		t.Fatalf("wait pay = %v, want 0.03 at $0.01/min", costs["wait_pay_dollars"])
+	}
+	if math.Abs(costs["work_pay_dollars"]-0.20) > 1e-6 {
+		t.Fatalf("work pay = %v, want 0.20 at $0.10/record", costs["work_pay_dollars"])
+	}
+	// Zero rates fill in the paper's defaults.
 	var cc CostConfig
 	cc.fillDefaults()
 	if cc.WaitPayPerMin.Dollars() != 0.05 || cc.RecordPay.Dollars() != 0.02 {

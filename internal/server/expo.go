@@ -2,18 +2,18 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 
 	"github.com/clamshell/clamshell/internal/sketch"
 )
 
-// The shared Prometheus exposition renderer. The standalone Server and the
-// fabric router both build a MetricsPage — per-shard state merged via the
-// t-digest sketches — and render it here, so the two scrape surfaces
-// (/metrics and the back-compat /api/metricsz alias) cannot drift and a
-// 1-shard fabric's page is byte-identical to the single server's by
-// construction. Every family's HELP/TYPE header is emitted exactly once.
+// The shared Prometheus exposition renderer. A fabric node builds one
+// MetricsPage — per-shard state merged via the t-digest sketches — and
+// renders it here for both scrape surfaces (/metrics and the back-compat
+// /api/metricsz alias), so they cannot drift. Every family's HELP/TYPE
+// header is emitted exactly once.
 
 // summaryQs is the quantile set every latency summary exposes.
 var summaryQs = []float64{0.5, 0.95, 0.99}
@@ -311,4 +311,10 @@ func (fm FollowerMetrics) Render(b *strings.Builder) {
 	header("clamshell_repl_bootstraps_total",
 		"Full mirror re-seeds from a primary snapshot (initial attach, rotation, reset).", "counter")
 	fmt.Fprintf(b, "clamshell_repl_bootstraps_total %d\n", fm.Bootstraps)
+}
+
+// WriteMetricsPage renders a metrics page with the exposition content type.
+func WriteMetricsPage(w http.ResponseWriter, p *MetricsPage) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write(p.RenderPrometheus())
 }

@@ -1,18 +1,24 @@
 package server
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Client, *httptest.Server) {
+// newTestServer serves one shard's core routes over HTTP and returns a
+// client for them plus the shard itself, whose admin views (counters,
+// costs, workers, snapshots) the tests read directly.
+func newTestServer(t *testing.T, cfg Config) (*Client, *Shard) {
 	t.Helper()
-	srv := New(cfg)
-	ts := httptest.NewServer(srv)
+	s := NewShard(cfg, 0, 1)
+	mux := http.NewServeMux()
+	RegisterCoreRoutes(mux, s)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL), ts
+	return NewClient(ts.URL), s
 }
 
 func TestJoinFetchSubmitRoundTrip(t *testing.T) {
@@ -99,7 +105,7 @@ func TestQuorumConsensus(t *testing.T) {
 }
 
 func TestStragglerDuplicationAndTermination(t *testing.T) {
-	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
+	c, s := newTestServer(t, Config{SpeculationLimit: 1})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"x"}, Classes: 2}})
 
 	slow, _ := c.Join("slow")
@@ -129,9 +135,8 @@ func TestStragglerDuplicationAndTermination(t *testing.T) {
 	if st.Consensus[0] != 1 {
 		t.Fatalf("consensus = %v, want the winner's label", st.Consensus)
 	}
-	status, _ := c.Status()
-	if status["terminated"] != 1 {
-		t.Fatalf("terminated counter = %d", status["terminated"])
+	if n := s.CountersNow().Terminated; n != 1 {
+		t.Fatalf("terminated counter = %d", n)
 	}
 }
 
@@ -224,7 +229,7 @@ func TestValidationErrors(t *testing.T) {
 // a batch of quorum tasks and checks that everything completes with sane
 // consensus — the server-side analogue of the simulator's end-to-end runs.
 func TestSwarmIntegration(t *testing.T) {
-	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
+	c, s := newTestServer(t, Config{SpeculationLimit: 1})
 	const tasks, workers = 40, 8
 	specs := make([]TaskSpec, tasks)
 	for i := range specs {
@@ -276,18 +281,15 @@ func TestSwarmIntegration(t *testing.T) {
 
 	deadline := time.After(10 * time.Second)
 	for {
-		st, err := c.Status()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st["complete"] == tasks {
+		complete := s.CountersNow().Complete
+		if complete == tasks {
 			break
 		}
 		select {
 		case <-deadline:
 			close(stop)
 			wg.Wait()
-			t.Fatalf("only %d/%d tasks complete", st["complete"], tasks)
+			t.Fatalf("only %d/%d tasks complete", complete, tasks)
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}

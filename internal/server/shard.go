@@ -16,9 +16,8 @@ import (
 // into the retainer-pool protocol. Every method takes the shard's own lock
 // and returns — a method never calls into another shard, so the fabric can
 // sequence calls across shards without any lock-ordering hazard. The
-// Server's HTTP handlers in this package use the same internals under a
-// single lock acquisition; for one shard the two paths produce identical
-// protocol behavior (internal/fabric's compat test pins this byte-for-byte).
+// Shard's own Core methods (core.go) use the same internals under a single
+// lock acquisition.
 
 // Join admits a worker into this shard's retainer pool and returns its
 // globally-unique id (the id encodes the shard: (id-1) mod count == index).
@@ -661,13 +660,6 @@ func (s *Shard) ModelTasks() []int {
 func (s *Shard) Votes(stride int) []quality.Vote {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flattenVotes(stride)
-}
-
-// flattenVotes walks the submission order — live tasks and retained
-// tallies alike — turning every answer into per-record votes under the
-// given stride. Callers hold mu.
-func (s *Shard) flattenVotes(stride int) []quality.Vote {
 	var votes []quality.Vote
 	appendVotes := func(tid int, answers [][]int, voters []int) {
 		for i, ans := range answers {
@@ -718,7 +710,7 @@ func (s *Shard) RecordLatencySample(seconds float64) { s.latRec.Record(seconds) 
 
 // MetricsState snapshots this shard's contribution to a metrics page:
 // health counters, settled cost, latency sketches and backlog depths. The
-// fabric merges these across shards; the standalone Server renders one.
+// fabric merges these across shards into one page.
 func (s *Shard) MetricsState() ShardMetrics {
 	s.mu.Lock()
 	s.expireWorkers()

@@ -32,28 +32,29 @@ var errDesync = errors.New("wire: response does not match request tags")
 // serialized by an internal mutex, so give each concurrent worker
 // goroutine its own Client for parallelism.
 //
-// On a v2 connection (the default against a current server) independent
-// ops can be coalesced into one frame — one write(2), one CRC, one
-// response wake-up for the lot — via NewBatch, or the purpose-built
-// SubmitAndFetch. Against a v1 server the same calls transparently fall
-// back to sequential round trips.
+// Independent ops can be coalesced into one frame — one write(2), one
+// CRC, one response wake-up for the lot — via NewBatch, or the
+// purpose-built SubmitAndFetch.
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	version byte  // negotiated protocol version
 	err     error // sticky poison: set on any framing-level failure
 	nextTag uint64
-	wbuf    []byte // frame payload (request or envelope) encoding buffer
-	sbuf    []byte // v2 sub-request scratch buffer
+	wbuf    []byte // frame payload (envelope) encoding buffer
+	sbuf    []byte // sub-request scratch buffer
 	rbuf    []byte // response frame buffer
 }
 
 // Dial connects to a wire server and performs the version handshake,
 // offering the newest protocol version this package speaks.
 func Dial(addr string) (*Client, error) {
-	return DialVersion(addr, MaxVersion)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return closeOnErr(conn)
 }
 
 // DialTLS connects over TLS and performs the version handshake. cfg may
@@ -64,24 +65,14 @@ func DialTLS(addr string, cfg *tls.Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewClientVersion(conn, MaxVersion)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	return c, nil
+	return closeOnErr(conn)
 }
 
-// DialVersion connects offering at most the given protocol version. Use
-// it to pin Version1 against servers predating the batch envelope.
-func DialVersion(addr string, version byte) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// closeOnErr wraps a freshly dialed connection, closing it if the
+// handshake fails (best-effort: the handshake error is what surfaces).
+func closeOnErr(conn net.Conn) (*Client, error) {
+	c, err := NewClient(conn)
 	if err != nil {
-		return nil, err
-	}
-	c, err := NewClientVersion(conn, version)
-	if err != nil {
-		// Best-effort: the handshake error is what surfaces.
 		_ = conn.Close()
 		return nil, err
 	}
@@ -91,33 +82,15 @@ func DialVersion(addr string, version byte) (*Client, error) {
 // NewClient wraps an established connection (TCP, net.Pipe, ...) and
 // performs the version handshake, offering the newest protocol version.
 func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientVersion(conn, MaxVersion)
-}
-
-// NewClientVersion wraps an established connection offering at most the
-// given protocol version; the server may negotiate down (never up).
-func NewClientVersion(conn net.Conn, version byte) (*Client, error) {
-	if version < Version1 || version > MaxVersion {
-		return nil, ErrBadMagic
-	}
 	c := &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 8<<10),
 		bw:   bufio.NewWriterSize(conn, 8<<10),
 	}
-	negotiated, err := clientHandshake(c.br, c.bw, version)
-	if err != nil {
+	if err := clientHandshake(c.br, c.bw); err != nil {
 		return nil, err
 	}
-	c.version = negotiated
 	return c, nil
-}
-
-// Version returns the negotiated protocol version.
-func (c *Client) Version() byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Close closes the connection.
@@ -169,44 +142,31 @@ func (c *Client) roundTrip(req request) (reader, byte, error) {
 	return c.roundTripRaw(c.sbuf)
 }
 
-// roundTripRaw sends one pre-encoded request body and returns the response
-// payload, handling the batch-of-one envelope on v2. Callers hold mu; body
-// may alias c.sbuf but not c.wbuf.
+// roundTripRaw sends one pre-encoded request body in a batch-of-one
+// envelope and returns the response payload. Callers hold mu; body may
+// alias c.sbuf but not c.wbuf.
 func (c *Client) roundTripRaw(body []byte) (reader, byte, error) {
 	if c.err != nil {
 		return reader{}, 0, c.err
 	}
-	var resp []byte
-	if c.version >= Version2 {
-		// A single op rides a batch-of-one envelope: v2 connections carry
-		// exactly one payload format, so the server never has to guess.
-		tag := c.nextTag
-		c.nextTag++
-		c.wbuf = binary.AppendUvarint(c.wbuf[:0], 1)
-		c.wbuf = appendSub(c.wbuf, tag, body)
-		payload, err := c.exchange()
-		if err != nil {
-			return reader{}, 0, err
-		}
-		batch, err := newBatchReader(payload)
-		if err != nil {
-			return reader{}, 0, c.poison(err)
-		}
-		rtag, rbody, ok, err := batch.next()
-		if err != nil {
-			return reader{}, 0, c.poison(err)
-		}
-		if !ok || rtag != tag || batch.n != 0 {
-			return reader{}, 0, c.poison(errDesync)
-		}
-		resp = rbody
-	} else {
-		c.wbuf = append(c.wbuf[:0], body...)
-		payload, err := c.exchange()
-		if err != nil {
-			return reader{}, 0, err
-		}
-		resp = payload
+	tag := c.nextTag
+	c.nextTag++
+	c.wbuf = binary.AppendUvarint(c.wbuf[:0], 1)
+	c.wbuf = appendSub(c.wbuf, tag, body)
+	payload, err := c.exchange()
+	if err != nil {
+		return reader{}, 0, err
+	}
+	batch, err := newBatchReader(payload)
+	if err != nil {
+		return reader{}, 0, c.poison(err)
+	}
+	rtag, resp, ok, err := batch.next()
+	if err != nil {
+		return reader{}, 0, c.poison(err)
+	}
+	if !ok || rtag != tag || batch.n != 0 {
+		return reader{}, 0, c.poison(errDesync)
 	}
 	r := reader{b: resp}
 	status, err := r.byte()
@@ -406,10 +366,10 @@ func (c *Client) SnapshotJSON() ([]byte, error) {
 }
 
 // SubmitAndFetch coalesces the worker loop's natural op pair — submit the
-// finished assignment, fetch the next one — into a single frame each way
-// on a v2 connection (two sequential round trips on v1). err reports
-// transport failures and the submit's in-band error; a fetch-side in-band
-// error also surfaces through err, after the submit results.
+// finished assignment, fetch the next one — into a single frame each
+// way. err reports transport failures and the submit's in-band error; a
+// fetch-side in-band error also surfaces through err, after the submit
+// results.
 func (c *Client) SubmitAndFetch(workerID, taskID int, labels []int) (accepted, terminated bool, a server.Assignment, ok bool, err error) {
 	b := c.NewBatch()
 	sr := b.Submit(workerID, taskID, labels)
@@ -535,8 +495,7 @@ func (f *ResultStatus) fill(status byte, r *reader) {
 //
 // Each method returns a result slot that is valid after Do and until the
 // next Reset. A Batch is not safe for concurrent use; build it in one
-// goroutine, then Do. Against a v1 server Do transparently degrades to
-// one round trip per op with identical semantics.
+// goroutine, then Do.
 type Batch struct {
 	c      *Client
 	bodies []byte // concatenated encoded sub-request bodies
@@ -675,9 +634,6 @@ func (b *Batch) Do() error {
 	if len(b.futs) == 0 {
 		return nil
 	}
-	if c.version < Version2 {
-		return b.doSequential()
-	}
 
 	n := len(b.futs)
 	sent := 0
@@ -748,29 +704,6 @@ func (b *Batch) Do() error {
 			return err
 		}
 		sent += chunk
-	}
-	return nil
-}
-
-// doSequential degrades the batch to v1 round trips. Callers hold mu.
-func (b *Batch) doSequential() error {
-	c := b.c
-	off := 0
-	for i, f := range b.futs {
-		c.wbuf = append(c.wbuf[:0], b.bodies[off:b.ends[i]]...)
-		off = b.ends[i]
-		payload, err := c.exchange()
-		if err != nil {
-			b.failFrom(i, err)
-			return err
-		}
-		r := reader{b: payload}
-		status, serr := r.byte()
-		if serr != nil {
-			b.setErr(f, serr)
-			continue
-		}
-		f.fill(status, &r)
 	}
 	return nil
 }

@@ -163,10 +163,10 @@ func FuzzBatchFrame(f *testing.F) {
 
 // FuzzHandshake feeds arbitrary preamble bytes to the server-side version
 // negotiation: it must accept exactly the preambles with the right magic
-// and a version in [1, MaxVersion], echo that same version back, and
-// reject everything else without panicking or over-reading.
+// and a version in [Version2, MaxVersion], echo that same preamble back,
+// and reject everything else without panicking or over-reading.
 func FuzzHandshake(f *testing.F) {
-	f.Add([]byte(MagicV1))
+	f.Add([]byte(magicPrefix + "\x01")) // retired v1: must be refused
 	f.Add([]byte(Magic))
 	f.Add([]byte(magicPrefix + "\x00")) // version below the floor
 	f.Add([]byte(magicPrefix + "\x03")) // version beyond MaxVersion
@@ -178,24 +178,24 @@ func FuzzHandshake(f *testing.F) {
 		var out bytes.Buffer
 		br := bufio.NewReader(bytes.NewReader(data))
 		bw := bufio.NewWriter(&out)
-		v, err := serverHandshake(br, bw)
+		err := serverHandshake(br, bw)
 		valid := len(data) >= len(magicPrefix)+1 &&
 			string(data[:len(magicPrefix)]) == magicPrefix &&
-			data[len(magicPrefix)] >= Version1 && data[len(magicPrefix)] <= MaxVersion
+			data[len(magicPrefix)] >= Version2 && data[len(magicPrefix)] <= MaxVersion
 		if !valid {
 			if err == nil {
 				t.Fatalf("accepted invalid preamble %q", data)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("answered invalid preamble %q with %q", data, out.String())
 			}
 			return
 		}
 		if err != nil {
 			t.Fatalf("rejected valid preamble %q: %v", data[:len(magicPrefix)+1], err)
 		}
-		if v != data[len(magicPrefix)] {
-			t.Fatalf("negotiated v%d for offered v%d", v, data[len(magicPrefix)])
-		}
-		if out.String() != magicPrefix+string(v) {
-			t.Fatalf("echoed %q, want %q", out.String(), magicPrefix+string(v))
+		if want := string(data[:len(magicPrefix)+1]); out.String() != want {
+			t.Fatalf("echoed %q, want %q", out.String(), want)
 		}
 	})
 }

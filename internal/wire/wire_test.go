@@ -3,6 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -173,8 +176,8 @@ func TestWireTCP(t *testing.T) {
 	}
 }
 
-// A client with the wrong magic — bad prefix or a version beyond
-// MaxVersion — is refused before any frame is exchanged.
+// A client with the wrong magic — bad prefix or a version outside
+// [Version2, MaxVersion] — is refused before any frame is exchanged.
 func TestWireHandshakeRejectsBadMagic(t *testing.T) {
 	for _, magic := range []string{"XLAMWIR\x01", "CLAMWIR\x00", "CLAMWIR\x03"} {
 		sh := server.NewShard(server.Config{}, 0, 1)
@@ -194,6 +197,40 @@ func TestWireHandshakeRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// Wire v1 (strict request/response framing) is retired: a v1 preamble is
+// refused on both ends. The server hangs up without echoing it, and a
+// client whose server echoes v1 fails the handshake with ErrBadMagic.
+func TestWireHandshakeRefusesV1(t *testing.T) {
+	t.Cleanup(servertest.VerifyNone(t))
+	v1 := []byte(magicPrefix + "\x01")
+
+	sh := server.NewShard(server.Config{}, 0, 1)
+	cliConn, srvConn := net.Pipe()
+	srvDone := make(chan struct{})
+	go func() { NewServer(sh).ServeConn(srvConn); close(srvDone) }()
+	cliConn.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := cliConn.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cliConn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered %d bytes to a v1 preamble", n)
+	}
+	<-srvDone
+
+	cliConn, srvConn = net.Pipe()
+	defer cliConn.Close()
+	go func() {
+		defer srvConn.Close()
+		offer := make([]byte, len(v1))
+		if _, err := io.ReadFull(srvConn, offer); err == nil {
+			srvConn.Write(v1) // a legacy server negotiating down to v1
+		}
+	}()
+	if _, err := NewClient(cliConn); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("client accepted a v1 echo: err=%v, want ErrBadMagic", err)
+	}
+}
+
 // A malformed payload inside an intact frame is answered in-band and the
 // connection keeps working; framing-level corruption drops the connection.
 func TestWireMalformedPayloadKeepsConnection(t *testing.T) {
@@ -205,43 +242,47 @@ func TestWireMalformedPayloadKeepsConnection(t *testing.T) {
 
 	br := bufio.NewReader(cliConn)
 	bw := bufio.NewWriter(cliConn)
-	if v, err := clientHandshake(br, bw, Version1); err != nil || v != Version1 {
-		t.Fatalf("v1 handshake: version=%d err=%v", v, err)
+	if err := clientHandshake(br, bw); err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	// Opcode 0 is unknown: expect a stBadRequest response.
-	if err := writeFrame(bw, []byte{0}); err != nil {
+	if resp := sendOne(t, br, bw, []byte{0}); resp != stBadRequest {
+		t.Fatalf("malformed payload status = %d", resp)
+	}
+	// A truncated join (name length past the payload) also answers in-band.
+	if resp := sendOne(t, br, bw, []byte{opJoin, 200}); resp != stBadRequest {
+		t.Fatalf("truncated join status = %d", resp)
+	}
+	// The connection still serves well-formed requests afterwards.
+	if resp := sendOne(t, br, bw, encodeRequest(nil, request{op: opJoin, name: "ok"})); resp != stOK {
+		t.Fatalf("join after malformed payload status = %d", resp)
+	}
+}
+
+// sendOne sends one raw request body in a batch-of-one envelope and
+// returns the status byte of the sub-response under the same tag.
+func sendOne(t *testing.T, br *bufio.Reader, bw *bufio.Writer, body []byte) byte {
+	t.Helper()
+	env := appendSub(binary.AppendUvarint(nil, 1), 7, body)
+	if err := writeFrame(bw, env); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(br, nil)
+	payload, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	batch, err := newBatchReader(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) == 0 || resp[0] != stBadRequest {
-		t.Fatalf("malformed payload response = %v", resp)
+	tag, resp, ok, err := batch.next()
+	if err != nil || !ok || tag != 7 || batch.n != 0 || len(resp) == 0 {
+		t.Fatalf("response envelope: tag=%d ok=%v body=%v err=%v", tag, ok, resp, err)
 	}
-	// A truncated join (name length past the payload) also answers in-band.
-	if err := writeFrame(bw, []byte{opJoin, 200}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(br, nil); err != nil || resp[0] != stBadRequest {
-		t.Fatalf("truncated join response = %v err=%v", resp, err)
-	}
-	// The connection still serves well-formed requests afterwards.
-	if err := writeFrame(bw, encodeRequest(nil, request{op: opJoin, name: "ok"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(br, nil); err != nil || resp[0] != stOK {
-		t.Fatalf("join after malformed payload = %v err=%v", resp, err)
-	}
+	return resp[0]
 }
 
 // Frame round-trips, CRC detection, and the length cap.
@@ -344,22 +385,12 @@ func TestWireConnStatsAccounting(t *testing.T) {
 
 	br := bufio.NewReader(cliConn)
 	bw := bufio.NewWriter(cliConn)
-	if v, err := clientHandshake(br, bw, Version1); err != nil || v != Version1 {
-		t.Fatalf("v1 handshake: version=%d err=%v", v, err)
+	if err := clientHandshake(br, bw); err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	send := func(payload []byte) byte {
 		t.Helper()
-		if err := writeFrame(bw, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readFrame(br, nil)
-		if err != nil || len(resp) == 0 {
-			t.Fatalf("read response: %v", err)
-		}
-		return resp[0]
+		return sendOne(t, br, bw, payload)
 	}
 
 	// Two served ops, then two frames the strict decoder rejects (unknown
