@@ -609,84 +609,53 @@ func TestWireBatchedThroughputGate(t *testing.T) {
 // with real history and a standing backlog: `history` completed tasks on
 // the books and `backlog` pending priority-0 tasks that never drain
 // (measured traffic outranks them at priority 1). Each iteration is one
-// full task lifetime through the HTTP handlers — submit, poll (the hand-out
-// decision), answer. With the linear pending-queue scan this degraded with
-// the size of the backlog; with the dispatch index the pick reads the front
-// of the priority-1 bucket and the backlog (and all completed history) is
-// never touched, so ns/op must stay flat as history grows 10× over a 50k
-// backlog.
+// full task lifetime through a 1-shard set's Core — enqueue, poll (the
+// hand-out decision), answer — with no transport in the way; every spec
+// is built before the timer starts. With the linear pending-queue scan
+// this degraded with the size of the backlog; with the dispatch index the
+// pick reads the front of the priority-1 bucket and the backlog (and all
+// completed history) is never touched, so ns/op must stay flat as history
+// grows 10× over a 50k backlog.
 func benchmarkDispatchHandOut(b *testing.B, history, backlog int) {
-	fab := fabric.New(server.Config{WorkerTimeout: time.Hour}, 1)
-	rec := benchDo(fab, "POST", "/api/join", `{"name":"bench"}`)
-	var join struct {
-		WorkerID int `json:"worker_id"`
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
+	worker := set.CoreJoin("bench")
+	labels := []int{0}
+	specs := func(n int, prefix string, priority int) []server.TaskSpec {
+		out := make([]server.TaskSpec, n)
+		for i := range out {
+			out[i] = server.TaskSpec{Records: []string{fmt.Sprintf("%s-%d", prefix, i)},
+				Classes: 2, Quorum: 1, Priority: priority}
+		}
+		return out
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &join); err != nil || join.WorkerID == 0 {
-		b.Fatalf("join: %s", rec.Body.String())
-	}
-	fetchPath := fmt.Sprintf("/api/task?worker_id=%d", join.WorkerID)
-
-	submitBatch := func(n int, prefix string, priority int) {
-		for done := 0; done < n; {
-			batch := min(1000, n-done)
-			var sb strings.Builder
-			sb.WriteString(`{"tasks":[`)
-			for i := 0; i < batch; i++ {
-				if i > 0 {
-					sb.WriteByte(',')
-				}
-				fmt.Fprintf(&sb, `{"records":["%s-%d"],"classes":2,"quorum":1,"priority":%d}`,
-					prefix, done+i, priority)
-			}
-			sb.WriteString(`]}`)
-			if rec := benchDo(fab, "POST", "/api/tasks", sb.String()); rec.Code != 200 {
-				b.Fatalf("%s submit: %s", prefix, rec.Body.String())
-			}
-			done += batch
+	handOut := func(spec []server.TaskSpec) {
+		if _, err := set.CoreEnqueue(spec); err != nil {
+			b.Fatalf("enqueue: %v", err)
+		}
+		a, disp := set.CoreFetch(worker)
+		if disp != server.FetchAssigned {
+			b.Fatalf("fetch: disposition %d", disp)
+		}
+		if _, cerr := set.CoreSubmit(worker, a.TaskID, labels); cerr != nil {
+			b.Fatalf("answer: %v", cerr.Err)
 		}
 	}
 
-	// Completed history: fetch and answer every task so it is done and off
-	// the pending set — only the books (order, answers, costs) grow.
-	submitBatch(history, "history", 1)
-	for i := 0; i < history; i++ {
-		rec := benchDo(fab, "GET", fetchPath, "")
-		if rec.Code != 200 {
-			b.Fatalf("history fetch %d: %d", i, rec.Code)
-		}
-		var a server.Assignment
-		if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
-			b.Fatal(err)
-		}
-		rec = benchDo(fab, "POST", "/api/submit",
-			fmt.Sprintf(`{"worker_id":%d,"task_id":%d,"labels":[0]}`, join.WorkerID, a.TaskID))
-		if rec.Code != 200 {
-			b.Fatalf("history submit %d: %s", i, rec.Body.String())
-		}
+	// Completed history: hand out and answer every task so it is done and
+	// off the pending set — only the books (order, answers, costs) grow.
+	past := specs(history, "history", 1)
+	for i := range past {
+		handOut(past[i : i+1])
 	}
 	// Standing backlog: pending passive fill the measured traffic outranks.
-	submitBatch(backlog, "backlog", 0)
+	if _, err := set.CoreEnqueue(specs(backlog, "backlog", 0)); err != nil {
+		b.Fatalf("backlog: %v", err)
+	}
+	live := specs(b.N, "live", 1)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := benchDo(fab, "POST", "/api/tasks",
-			fmt.Sprintf(`{"tasks":[{"records":["live-%d"],"classes":2,"quorum":1,"priority":1}]}`, i))
-		if rec.Code != 200 {
-			b.Fatalf("submit: %s", rec.Body.String())
-		}
-		rec = benchDo(fab, "GET", fetchPath, "")
-		if rec.Code != 200 {
-			b.Fatalf("fetch: %d %s", rec.Code, rec.Body.String())
-		}
-		var a server.Assignment
-		if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
-			b.Fatal(err)
-		}
-		rec = benchDo(fab, "POST", "/api/submit",
-			fmt.Sprintf(`{"worker_id":%d,"task_id":%d,"labels":[0]}`, join.WorkerID, a.TaskID))
-		if rec.Code != 200 {
-			b.Fatalf("answer: %s", rec.Body.String())
-		}
+		handOut(live[i : i+1])
 	}
 }
 

@@ -47,10 +47,10 @@ func hybridScenario(tb testing.TB, nTasks int, withModel bool) (humanLabels int,
 	tb.Helper()
 	const quorum, workers = 3, 6
 	now := time.Unix(1_700_000_000, 0)
-	s := server.NewShard(server.Config{
+	s := server.NewShardSet(server.Config{
 		Now:           func() time.Time { return now },
 		WorkerTimeout: time.Hour,
-	}, 0, 1)
+	}, 1, 0, 1)
 
 	rng := rand.New(rand.NewSource(4242))
 	specs := make([]server.TaskSpec, nTasks)
@@ -72,7 +72,7 @@ func hybridScenario(tb testing.TB, nTasks int, withModel bool) (humanLabels int,
 	var plane *hybrid.Plane
 	if withModel {
 		plane = hybrid.New(hybrid.Config{Confidence: 0.95, MinTrained: 25, Seed: 11}, s)
-		s.SetLabelSink(plane.Ingest)
+		s.Shards()[0].SetLabelSink(plane.Ingest)
 		defer plane.Close()
 	}
 
@@ -126,5 +126,5 @@ func hybridScenario(tb testing.TB, nTasks int, withModel bool) (humanLabels int,
 			correct++
 		}
 	}
-	return humanLabels, float64(correct) / float64(nTasks), s.AccruedCosts().Total().Dollars()
+	return humanLabels, float64(correct) / float64(nTasks), s.Shards()[0].AccruedCosts().Total().Dollars()
 }

@@ -22,9 +22,9 @@ import (
 // handleStatus sums pool and queue health across shards.
 func (f *Fabric) handleStatus(w http.ResponseWriter, r *http.Request) {
 	var total server.Counters
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		c := sh.CountersNow()
-		f.release(sh)
+		f.ReleaseOrphans(sh)
 		total.Tasks += c.Tasks
 		total.Complete += c.Complete
 		total.Workers += c.Workers
@@ -45,9 +45,9 @@ func (f *Fabric) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleWorkers merges per-worker statistics across shards in id order.
 func (f *Fabric) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	out := make([]server.WorkerStats, 0)
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		out = append(out, sh.WorkerList()...)
-		f.release(sh)
+		f.ReleaseOrphans(sh)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	server.WriteJSON(w, http.StatusOK, out)
@@ -57,9 +57,9 @@ func (f *Fabric) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // accrued up to now for currently idle workers.
 func (f *Fabric) handleCosts(w http.ResponseWriter, r *http.Request) {
 	var acct metrics.Accounting
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		acct = acct.Add(sh.AccruedCosts())
-		f.release(sh) // AccruedCosts expires stale workers, which can orphan steals
+		f.ReleaseOrphans(sh) // AccruedCosts expires stale workers, which can orphan steals
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]float64{
 		"wait_pay_dollars":       acct.WaitPay.Dollars(),
@@ -79,7 +79,7 @@ func (f *Fabric) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stride, classes, lastTask := 1, 2, 0
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		mr, mc, lt := sh.Dims()
 		if mr > stride {
 			stride = mr
@@ -94,7 +94,7 @@ func (f *Fabric) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	var votes []quality.Vote
 	var order []int
 	records := make(map[int]int)
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		votes = append(votes, sh.Votes(stride)...)
 		o, rec := sh.TaskMeta()
 		order = append(order, o...)
@@ -154,7 +154,7 @@ func (f *Fabric) handleConsensus(w http.ResponseWriter, r *http.Request) {
 		resp.WorkerScores = scores
 	}
 	var modelTasks []int
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		modelTasks = append(modelTasks, sh.ModelTasks()...)
 	}
 	sort.Ints(modelTasks)
@@ -188,12 +188,12 @@ func (f *Fabric) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // engine is attached, durability telemetry (commit lag, group-commit batch
 // size, dirty age, retained-log size) is merged in the same way.
 func (f *Fabric) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	shards := make([]server.ShardMetrics, 0, len(f.shards))
-	for _, sh := range f.shards {
+	shards := make([]server.ShardMetrics, 0, f.NumShards())
+	for _, sh := range f.Shards() {
 		shards = append(shards, sh.MetricsState())
-		f.release(sh) // MetricsState expires stale workers, which can orphan steals
+		f.ReleaseOrphans(sh) // MetricsState expires stale workers, which can orphan steals
 	}
-	page := server.BuildMetricsPage(shards, f.obs, f.journalSnapshot())
+	page := server.BuildMetricsPage(shards, f.Obs(), f.journalSnapshot())
 	page.Hybrid = f.hybridSnapshot()
 	page.Repl = f.replSnapshot()
 	server.WriteMetricsPage(w, page)
@@ -202,12 +202,12 @@ func (f *Fabric) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // handleMetricsSketch serves the same fabric-wide page's t-digests in the
 // binary sketch-export codec, for lossless off-box merging.
 func (f *Fabric) handleMetricsSketch(w http.ResponseWriter, r *http.Request) {
-	shards := make([]server.ShardMetrics, 0, len(f.shards))
-	for _, sh := range f.shards {
+	shards := make([]server.ShardMetrics, 0, f.NumShards())
+	for _, sh := range f.Shards() {
 		shards = append(shards, sh.MetricsState())
-		f.release(sh) // MetricsState expires stale workers, which can orphan steals
+		f.ReleaseOrphans(sh) // MetricsState expires stale workers, which can orphan steals
 	}
-	page := server.BuildMetricsPage(shards, f.obs, f.journalSnapshot())
+	page := server.BuildMetricsPage(shards, f.Obs(), f.journalSnapshot())
 	server.WriteSketchExport(w, page)
 }
 

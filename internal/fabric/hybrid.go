@@ -12,8 +12,8 @@ import (
 // events into one plane — cross-shard tasks with the same problem shape
 // share a learner, so the model trains on fabric-wide evidence — and routes
 // the plane's decisions back to each task's owning shard. The Decider
-// methods below follow the fabric's locking rule: one shard lock per call,
-// never two.
+// methods (the embedded ShardSet's AutoFinalize and Reprioritize) follow
+// the fabric's locking rule: one shard lock per call, never two.
 
 // hybridPlane is stored atomically so scrape handlers can read it without
 // coordinating with EnableHybrid.
@@ -26,11 +26,11 @@ type hybridPlane = atomic.Pointer[hybrid.Plane]
 // The returned plane must be Closed on shutdown; the caller owns it.
 func (f *Fabric) EnableHybrid(cfg hybrid.Config) *hybrid.Plane {
 	p := hybrid.New(cfg, f)
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		sh.SetLabelSink(p.Ingest)
 	}
 	var evs []server.LabelEvent
-	for _, sh := range f.shards {
+	for _, sh := range f.Shards() {
 		evs = append(evs, sh.SeedLabelEvents()...)
 	}
 	// Shards emit their own tasks in id order; interleave across shards the
@@ -41,20 +41,6 @@ func (f *Fabric) EnableHybrid(cfg hybrid.Config) *hybrid.Plane {
 	p.Start()
 	f.hybrid.Store(p)
 	return p
-}
-
-// AutoFinalize implements hybrid.Decider: the decision lands on the task's
-// owning shard, which journals it.
-func (f *Fabric) AutoFinalize(taskID int, labels []int) bool {
-	sh := f.shardOf(taskID)
-	return sh != nil && sh.AutoFinalize(taskID, labels)
-}
-
-// Reprioritize implements hybrid.Decider: the move lands on the task's
-// owning shard, which journals it.
-func (f *Fabric) Reprioritize(taskID, priority int) bool {
-	sh := f.shardOf(taskID)
-	return sh != nil && sh.Reprioritize(taskID, priority)
 }
 
 // hybridSnapshot returns the plane's metrics contribution, or nil when the

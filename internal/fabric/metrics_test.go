@@ -47,7 +47,7 @@ func TestFabricMergedQuantileAccuracy(t *testing.T) {
 	for i := range xs {
 		v := math.Exp(rng.NormFloat64()) // lognormal: heavy-tailed like real service times
 		xs[i] = v
-		fab.shards[i%shards].RecordLatencySample(v)
+		fab.Shards()[i%shards].RecordLatencySample(v)
 	}
 	sort.Float64s(xs)
 

@@ -107,7 +107,7 @@ func (f *Fabric) OpenPersist(opts PersistOptions) error {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return err
 	}
-	n := len(f.shards)
+	n := f.NumShards()
 
 	// A RESIZE checkpoint supersedes whatever the shard directories hold:
 	// a previous resize crashed after checkpointing the merged state but
@@ -122,7 +122,7 @@ func (f *Fabric) OpenPersist(opts PersistOptions) error {
 		return err
 	}
 
-	if (haveMerged || (haveManifest && m.Shards != n)) && f.nodeCount > 1 {
+	if (haveMerged || (haveManifest && m.Shards != n)) && f.NodeCount() > 1 {
 		return errors.New("fabric: resize-on-restore unsupported on a multi-node slice")
 	}
 	if !haveMerged && haveManifest && m.Shards != n {
@@ -169,7 +169,7 @@ func (f *Fabric) OpenPersist(opts PersistOptions) error {
 			return err
 		}
 	} else {
-		for i, sh := range f.shards {
+		for i, sh := range f.Shards() {
 			st, rec, err := journal.Open(shardDir(opts.Dir, i))
 			if err != nil {
 				closeStores(p.stores[:i])
@@ -235,7 +235,7 @@ func (f *Fabric) recommitLocked(st server.SnapshotState) (err error) {
 		p.lastErr = fmt.Errorf("fabric: durability suspended at the restore checkpoint: %w", err)
 		p.mu.Unlock()
 	}()
-	n := len(f.shards)
+	n := f.NumShards()
 	f.detachStoresLocked(p)
 	for i := 0; ; i++ {
 		dir := shardDir(p.opts.Dir, i)
@@ -247,7 +247,7 @@ func (f *Fabric) recommitLocked(st server.SnapshotState) (err error) {
 		}
 	}
 	per := splitState(st, n)
-	for i, sh := range f.shards {
+	for i, sh := range f.Shards() {
 		store, _, err := journal.Open(shardDir(p.opts.Dir, i))
 		if err != nil {
 			return fmt.Errorf("fabric: rebuilding shard %d store: %w", i, err)
@@ -261,7 +261,7 @@ func (f *Fabric) recommitLocked(st server.SnapshotState) (err error) {
 		p.stores[i] = store
 		p.mu.Unlock()
 	}
-	for i, sh := range f.shards {
+	for i, sh := range f.Shards() {
 		if err := sh.CompactInto(p.stores[i], p.opts.Retention); err != nil {
 			return fmt.Errorf("fabric: committing shard %d: %w", i, err)
 		}
@@ -344,7 +344,7 @@ func (f *Fabric) compactLoop(p *persistState) {
 // Store-slot writes go under p.mu so PersistErr can read them from another
 // goroutine. Callers hold compactMu.
 func (f *Fabric) detachStoresLocked(p *persistState) {
-	for i, sh := range f.shards {
+	for i, sh := range f.Shards() {
 		sh.AttachJournal(nil)
 		p.mu.Lock()
 		st := p.stores[i]
@@ -368,7 +368,7 @@ func (f *Fabric) CompactAll() error {
 	defer p.compactMu.Unlock()
 	var firstErr error
 	fenced := false
-	for i, sh := range f.shards {
+	for i, sh := range f.Shards() {
 		if p.stores[i] == nil {
 			// A failed rebuild left this shard detached; the RESIZE
 			// checkpoint on disk still guards its state.
@@ -430,7 +430,7 @@ func (f *Fabric) ClosePersist() error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
 	var firstErr error
-	for i, sh := range f.shards {
+	for i, sh := range f.Shards() {
 		sh.AttachJournal(nil)
 		p.mu.Lock()
 		st := p.stores[i]

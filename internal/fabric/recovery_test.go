@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/clamshell/clamshell/internal/hashring"
 	"github.com/clamshell/clamshell/internal/server"
 )
 
@@ -19,7 +20,7 @@ func recordOnShard(t *testing.T, f *Fabric, shard int) server.TaskSpec {
 			Classes: 2,
 			Quorum:  1,
 		}
-		if f.placeShard(spec) == f.shards[shard] {
+		if hashring.Jump(hashring.HashStrings(spec.Records), f.NumShards()) == shard {
 			return spec
 		}
 	}
@@ -54,7 +55,7 @@ func TestFetchRecoversFromDanglingSteal(t *testing.T) {
 	// The task's shard is restored to empty out from under the assignment:
 	// the payload the worker would re-fetch is gone, but the worker (homed
 	// on shard 0) still holds the in-flight assignment.
-	fab.shards[1].ImportState(server.SnapshotState{Version: server.SnapshotVersion})
+	fab.Shards()[1].ImportState(server.SnapshotState{Version: server.SnapshotVersion})
 
 	// Fresh work is available on the worker's own shard. Before the fix the
 	// dangling assignment pinned every poll to the vanished task and the

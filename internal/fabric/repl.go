@@ -47,9 +47,9 @@ func (f *Fabric) EnableReplication(barrierTimeout time.Duration) error {
 		barrierTimeout = DefaultBarrierTimeout
 	}
 	rp := &replPlane{
-		tracker:     repl.NewTracker(len(f.shards)),
+		tracker:     repl.NewTracker(f.NumShards()),
 		timeout:     barrierTimeout,
-		lastMatched: make([]atomic.Int64, len(f.shards)),
+		lastMatched: make([]atomic.Int64, f.NumShards()),
 	}
 	if !f.repl.CompareAndSwap(nil, rp) {
 		return errors.New("fabric: replication already enabled")
@@ -90,8 +90,8 @@ func (f *Fabric) ReplBarrier() func() {
 		if p == nil {
 			return
 		}
-		targets := make([]repl.Position, len(f.shards))
-		for i := range f.shards {
+		targets := make([]repl.Position, f.NumShards())
+		for i := range f.Shards() {
 			p.mu.Lock()
 			st := p.stores[i]
 			p.mu.Unlock()
@@ -122,7 +122,7 @@ func (f *Fabric) ReplRead(req wire.ReplPullRequest) (wire.ReplChunk, error) {
 	if p == nil {
 		return wire.ReplChunk{}, errors.New("fabric: replication requires the journal engine")
 	}
-	if req.Shard < 0 || req.Shard >= len(f.shards) {
+	if req.Shard < 0 || req.Shard >= f.NumShards() {
 		return wire.ReplChunk{}, fmt.Errorf("fabric: no shard %d", req.Shard)
 	}
 	p.mu.Lock()
@@ -131,7 +131,7 @@ func (f *Fabric) ReplRead(req wire.ReplPullRequest) (wire.ReplChunk, error) {
 	if st == nil {
 		return wire.ReplChunk{}, errors.New("fabric: shard store detached")
 	}
-	n := len(f.shards)
+	n := f.NumShards()
 	rp := f.repl.Load()
 	if rp != nil {
 		rp.attachedAt.CompareAndSwap(0, f.now().UnixNano())
@@ -239,7 +239,7 @@ func (f *Fabric) replSnapshot() *server.ReplSnapshot {
 	out.LagMS = f.replLagMS(rp)
 	if p := f.persist.Load(); p != nil && out.FollowerAttached {
 		pos := rp.tracker.Positions()
-		for i := range f.shards {
+		for i := range f.Shards() {
 			p.mu.Lock()
 			st := p.stores[i]
 			p.mu.Unlock()

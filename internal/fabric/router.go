@@ -106,9 +106,10 @@ func (rt *Router) CoreLeave(workerID int) {
 }
 
 // CoreEnqueue places each spec on a node by consistent-hashing its record
-// content and forwards per-node; ids return in request order. On a node
-// error, specs before the offending one are already enqueued — the same
-// partial-batch contract as the local fabric.
+// content and forwards per-node; ids return in request order. The whole
+// batch is validated first, so an invalid spec admits nothing — the same
+// contract as a node. A node error (unreachable) mid-batch leaves the
+// specs already forwarded enqueued.
 func (rt *Router) CoreEnqueue(specs []server.TaskSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, server.ErrNoTasksGiven

@@ -83,11 +83,11 @@ func splitState(st server.SnapshotState, n int) []server.SnapshotState {
 // Snapshot merges every shard's durable state into one document in the
 // 1-shard wire format.
 func (f *Fabric) Snapshot() ([]byte, error) {
-	if len(f.shards) == 1 {
-		return f.shards[0].Snapshot()
+	if f.NumShards() == 1 {
+		return f.Shards()[0].Snapshot()
 	}
-	states := make([]server.SnapshotState, len(f.shards))
-	for i, sh := range f.shards {
+	states := make([]server.SnapshotState, f.NumShards())
+	for i, sh := range f.Shards() {
 		states[i] = sh.ExportState()
 	}
 	return server.EncodeSnapshot(mergeStates(states))
@@ -100,7 +100,7 @@ func (f *Fabric) Snapshot() ([]byte, error) {
 // is compacted to disk before Restore returns, so the restore is durable
 // at the moment it is acknowledged.
 func (f *Fabric) Restore(data []byte) error {
-	if f.nodeCount > 1 {
+	if f.NodeCount() > 1 {
 		// A node slice cannot re-split a merged document by itself: ids it
 		// does not own would land on local shards and break fabric-wide
 		// routing. Restores go through a full single-node boot.
@@ -116,11 +116,11 @@ func (f *Fabric) Restore(data []byte) error {
 		// tallies cannot resurrect replaced state at the next boot.
 		return f.replaceState(st)
 	}
-	if n := len(f.shards); n == 1 {
-		f.shards[0].ImportState(st)
+	if n := f.NumShards(); n == 1 {
+		f.Shards()[0].ImportState(st)
 	} else {
 		for i, per := range splitState(st, n) {
-			f.shards[i].ImportState(per)
+			f.Shards()[i].ImportState(per)
 		}
 	}
 	return nil

@@ -403,10 +403,10 @@ func runScenario(t testing.TB, nTasks int, withModel bool) (humanLabels int, acc
 	t.Helper()
 	const quorum, workers = 3, 6
 	now := time.Unix(1_700_000_000, 0)
-	s := server.NewShard(server.Config{
+	s := server.NewShardSet(server.Config{
 		Now:           func() time.Time { return now },
 		WorkerTimeout: time.Hour,
-	}, 0, 1)
+	}, 1, 0, 1)
 
 	rng := rand.New(rand.NewSource(4242))
 	truth := make(map[int]int)
@@ -426,7 +426,7 @@ func runScenario(t testing.TB, nTasks int, withModel bool) (humanLabels int, acc
 	var plane *Plane
 	if withModel {
 		plane = New(Config{Confidence: 0.95, MinTrained: 25, Seed: 11}, s)
-		s.SetLabelSink(plane.Ingest)
+		s.Shards()[0].SetLabelSink(plane.Ingest)
 		defer plane.Close()
 	}
 
@@ -490,7 +490,7 @@ func runScenario(t testing.TB, nTasks int, withModel bool) (humanLabels int, acc
 			correct++
 		}
 	}
-	return humanLabels, float64(correct) / float64(nTasks), s.AccruedCosts().Total().Dollars()
+	return humanLabels, float64(correct) / float64(nTasks), s.Shards()[0].AccruedCosts().Total().Dollars()
 }
 
 func TestHybridScenarioEndToEnd(t *testing.T) {

@@ -83,7 +83,7 @@ func TestTallyAging(t *testing.T) {
 	}
 
 	// The scrape surface counts the aging.
-	page := string(BuildMetricsPage([]ShardMetrics{s.MetricsState()}, s.Obs(), nil).RenderPrometheus())
+	page := string(BuildMetricsPage([]ShardMetrics{s.MetricsState()}, NewObs(clock), nil).RenderPrometheus())
 	if !strings.Contains(page, "clamshell_tallies_aged_total 1") {
 		t.Fatalf("metrics missing aged counter:\n%s", page)
 	}

@@ -112,7 +112,7 @@ func walBoundaries(t *testing.T, path string) []int64 {
 
 func TestCrashRecoveryProperty(t *testing.T) {
 	const trials = 6
-	totalChecks := 0
+	totalChecks, retires := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
@@ -124,7 +124,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if trial%2 == 1 {
 			// Exercise retirement ops on odd trials.
 			cfg.MaintenanceThreshold = 500 * time.Millisecond
-			cfg.MaintenanceMinObs = 1
 		}
 		dir := t.TempDir()
 		st, rec, err := journal.Open(dir)
@@ -190,19 +189,31 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			case 3:
 				join()
 			case 4, 5:
-				s.PickLocal(randWorker(), rng.Intn(2) == 0)
+				// A poll: liveness refresh (and expiry sweep), then a pick.
+				w := randWorker()
+				s.beginFetch(w)
+				s.pickLocal(w, rng.Intn(2) == 0)
 			case 6:
 				w := randWorker()
-				if tid, _, ok := s.PickSteal(w, rng.Intn(2) == 0); ok {
-					if !s.AssignStolen(w, tid) {
-						s.ReleaseActive(tid, w)
+				if tid, _, ok := s.pickSteal(w, rng.Intn(2) == 0); ok {
+					if !s.assignStolen(w, tid) {
+						s.releaseActive(tid, w)
 					}
 				}
 			case 7, 8:
-				// Submit the worker's in-flight assignment; sometimes replay
-				// it, which must change nothing durable.
-				w := randWorker()
+				// Submit a busy worker's in-flight assignment; sometimes
+				// replay it, which must change nothing durable.
 				s.mu.Lock()
+				var busy []int
+				for _, w := range workers {
+					if pw := s.workers[w]; pw != nil && pw.current != 0 {
+						busy = append(busy, w)
+					}
+				}
+				var w int
+				if len(busy) > 0 {
+					w = busy[rng.Intn(len(busy))]
+				}
 				pw := s.workers[w]
 				var tid, records int
 				if pw != nil && pw.current != 0 {
@@ -218,7 +229,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						labels[i] = rng.Intn(2)
 					}
 					if outcome, rec, _ := s.AcceptAnswer(tid, w, labels); outcome == SubmitAccepted || outcome == SubmitTerminated {
-						s.FinishAssignment(w, tid, rec)
+						s.finishAssignment(w, tid, rec)
 					}
 					if rng.Intn(3) == 0 {
 						s.AcceptAnswer(tid, w, labels)
@@ -226,7 +237,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			case 9:
 				w := randWorker()
-				s.Leave(w)
+				s.leave(w)
 				dropWorker(w)
 			case 10:
 				// Jump the clock so stale workers expire (clipped wait pay).
@@ -263,7 +274,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					for i := range labels {
 						labels[i] = rng.Intn(cls)
 					}
-					s.AutoFinalize(tid, labels)
+					s.autoFinalize(tid, labels)
 				}
 			case 13:
 				// A hybrid-plane re-prioritization of a random pending task.
@@ -277,7 +288,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				s.mu.Unlock()
 				sort.Ints(pend)
 				if len(pend) > 0 {
-					s.Reprioritize(pend[rng.Intn(len(pend))], rng.Intn(5))
+					s.reprioritize(pend[rng.Intn(len(pend))], rng.Intn(5))
 				}
 			case 11:
 				if step < steps/2 && compactions < 3 {
@@ -303,6 +314,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			s.mu.Unlock()
 			checkpoint()
 		}
+		s.mu.Lock()
+		retires += s.retiredCount
+		s.mu.Unlock()
 		finalGen := st.Gen()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -368,5 +382,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	if totalChecks < 1000 {
 		t.Fatalf("only %d sever points checked, want >= 1000", totalChecks)
 	}
-	t.Logf("verified %d randomized sever points across %d trials", totalChecks, trials)
+	if retires < 1 {
+		t.Fatal("no trial journaled a maintenance retirement")
+	}
+	t.Logf("verified %d randomized sever points across %d trials (%d retirements)", totalChecks, trials, retires)
 }

@@ -107,15 +107,15 @@ func TestDispatchIndexMatchesNaiveScan(t *testing.T) {
 			case 2:
 				join()
 			case 3, 4:
-				s.PickLocal(randWorker(), rng.Intn(2) == 0)
+				s.pickLocal(randWorker(), rng.Intn(2) == 0)
 			case 5:
 				// A steal: active is marked on this shard, the assignment
 				// recorded (or rolled back) on the "home" shard — here the
 				// same shard plays both roles, matching the fabric protocol.
 				w := randWorker()
-				if tid, _, ok := s.PickSteal(w, rng.Intn(2) == 0); ok {
-					if !s.AssignStolen(w, tid) {
-						s.ReleaseActive(tid, w)
+				if tid, _, ok := s.pickSteal(w, rng.Intn(2) == 0); ok {
+					if !s.assignStolen(w, tid) {
+						s.releaseActive(tid, w)
 					}
 				}
 			case 6:
@@ -133,7 +133,7 @@ func TestDispatchIndexMatchesNaiveScan(t *testing.T) {
 				if tid != 0 {
 					labels := make([]int, records)
 					if outcome, rec, _ := s.AcceptAnswer(tid, w, labels); outcome == SubmitAccepted || outcome == SubmitTerminated {
-						s.FinishAssignment(w, tid, rec)
+						s.finishAssignment(w, tid, rec)
 					}
 					if rng.Intn(2) == 0 {
 						if outcome, _, _ := s.AcceptAnswer(tid, w, labels); outcome != SubmitDuplicate && outcome != SubmitDuplicateTerminated {
@@ -143,7 +143,7 @@ func TestDispatchIndexMatchesNaiveScan(t *testing.T) {
 				}
 			case 7:
 				w := randWorker()
-				s.Leave(w)
+				s.leave(w)
 				dropWorker(w)
 			case 8:
 				// Stale workers expire on the next maintenance pass.

@@ -29,23 +29,23 @@ func TestAutoFinalize(t *testing.T) {
 	s := hybridTestShard(&now)
 	tid := s.Enqueue(featSpec(0))
 
-	if s.AutoFinalize(tid, []int{0}) {
+	if s.autoFinalize(tid, []int{0}) {
 		t.Fatal("accepted labels shorter than records")
 	}
-	if s.AutoFinalize(tid, []int{0, 2}) {
+	if s.autoFinalize(tid, []int{0, 2}) {
 		t.Fatal("accepted out-of-range label")
 	}
-	if s.AutoFinalize(tid+99, []int{0, 1}) {
+	if s.autoFinalize(tid+99, []int{0, 1}) {
 		t.Fatal("accepted unknown task")
 	}
-	if !s.AutoFinalize(tid, []int{1, 0}) {
+	if !s.autoFinalize(tid, []int{1, 0}) {
 		t.Fatal("rejected a valid auto-finalize")
 	}
-	if s.AutoFinalize(tid, []int{1, 0}) {
+	if s.autoFinalize(tid, []int{1, 0}) {
 		t.Fatal("accepted a second finalize of a done task")
 	}
 
-	st, ok := s.ResultStatus(tid)
+	st, ok := s.resultStatus(tid)
 	if !ok || st.State != "complete" {
 		t.Fatalf("status = %+v, want complete", st)
 	}
@@ -61,7 +61,7 @@ func TestAutoFinalize(t *testing.T) {
 
 	// A model-finalized task must not hand out work.
 	w := s.Join("w")
-	if _, ok := s.PickLocal(w, false); ok {
+	if _, ok := s.pickLocal(w, false); ok {
 		t.Fatal("model-finalized task was handed out")
 	}
 }
@@ -70,7 +70,7 @@ func TestAutoFinalizeProvenanceSurvivesSnapshot(t *testing.T) {
 	now := time.Unix(100, 0)
 	s := hybridTestShard(&now)
 	tid := s.Enqueue(featSpec(0))
-	if !s.AutoFinalize(tid, []int{0, 1}) {
+	if !s.autoFinalize(tid, []int{0, 1}) {
 		t.Fatal("auto-finalize failed")
 	}
 
@@ -82,7 +82,7 @@ func TestAutoFinalizeProvenanceSurvivesSnapshot(t *testing.T) {
 	if err := s2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s2.ResultStatus(tid)
+	st, ok := s2.resultStatus(tid)
 	if !ok || st.Source != "model" || !reflect.DeepEqual(st.Consensus, []int{0, 1}) {
 		t.Fatalf("restored status = %+v, want model provenance and answer", st)
 	}
@@ -123,26 +123,26 @@ func TestReprioritizeRebuckets(t *testing.T) {
 	w := s.Join("w")
 	// Priority 1 beats 0: the second task would be handed out first.
 	// Re-bucket the first above it and it must win instead.
-	if !s.Reprioritize(low, 5) {
+	if !s.reprioritize(low, 5) {
 		t.Fatal("re-prioritization rejected")
 	}
-	if s.Reprioritize(low, 5) {
+	if s.reprioritize(low, 5) {
 		t.Fatal("accepted a no-op re-prioritization to the same priority")
 	}
-	if s.Reprioritize(low+99, 1) {
+	if s.reprioritize(low+99, 1) {
 		t.Fatal("accepted unknown task")
 	}
-	a, ok := s.PickLocal(w, false)
+	a, ok := s.pickLocal(w, false)
 	if !ok || a.TaskID != low {
 		t.Fatalf("picked task %d, want re-prioritized %d", a.TaskID, low)
 	}
 	_ = high
 
 	// Done tasks cannot move.
-	if !s.AutoFinalize(high, []int{0, 0}) {
+	if !s.autoFinalize(high, []int{0, 0}) {
 		t.Fatal("auto-finalize failed")
 	}
-	if s.Reprioritize(high, 3) {
+	if s.reprioritize(high, 3) {
 		t.Fatal("re-prioritized a done task")
 	}
 }
@@ -168,7 +168,7 @@ func TestLabelEventStream(t *testing.T) {
 	}
 
 	w := s.Join("w")
-	if _, ok := s.PickLocal(w, false); !ok {
+	if _, ok := s.pickLocal(w, false); !ok {
 		t.Fatal("no work")
 	}
 	if outcome, rec, err := s.AcceptAnswer(tid, w, []int{1, 1}); outcome != SubmitAccepted {
@@ -196,7 +196,7 @@ func TestLabelEventStream(t *testing.T) {
 
 	// Model finalization emits a ByModel finalized event.
 	tid2 := s.Enqueue(featSpec(0))
-	if !s.AutoFinalize(tid2, []int{0, 1}) {
+	if !s.autoFinalize(tid2, []int{0, 1}) {
 		t.Fatal("auto-finalize failed")
 	}
 	last := evs[len(evs)-1]
@@ -209,7 +209,7 @@ func TestModelAnswersStayOutOfVoteGraph(t *testing.T) {
 	now := time.Unix(100, 0)
 	s := hybridTestShard(&now)
 	tid := s.Enqueue(featSpec(0))
-	if !s.AutoFinalize(tid, []int{1, 1}) {
+	if !s.autoFinalize(tid, []int{1, 1}) {
 		t.Fatal("auto-finalize failed")
 	}
 	stride, _, _ := s.Dims()

@@ -35,13 +35,17 @@ func (s *Shard) observeLatency(pw *poolWorker, records int, elapsed time.Duratio
 	return perRec
 }
 
+// maintenanceMinObs is the minimum completed assignments before pool
+// maintenance may retire a worker.
+const maintenanceMinObs = 3
+
 // maintenanceCheck retires the worker if maintenance is enabled and their
 // empirical mean is above the threshold with enough evidence. Callers hold
 // mu. Returns true if the worker was retired.
 //
 //clamshell:locked callers hold mu
 func (s *Shard) maintenanceCheck(pw *poolWorker) bool {
-	if s.cfg.MaintenanceThreshold <= 0 || pw.latN < s.cfg.MaintenanceMinObs {
+	if s.cfg.MaintenanceThreshold <= 0 || pw.latN < maintenanceMinObs {
 		return false
 	}
 	if pw.latSum/float64(pw.latN) <= s.cfg.MaintenanceThreshold.Seconds() {

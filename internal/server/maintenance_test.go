@@ -49,7 +49,6 @@ func TestServerMaintenanceRetiresSlowWorker(t *testing.T) {
 	c, s := newTestServer(t, Config{
 		Now:                  clock,
 		MaintenanceThreshold: 4 * time.Second,
-		MaintenanceMinObs:    3,
 	})
 	slow, _ := c.Join("slow")
 	specs := make([]TaskSpec, 6)

@@ -7,11 +7,13 @@
 // the first answer wins, and late duplicates are told their work was
 // redundant (but still counted for payment).
 //
-// The package holds the Shard, the transport-agnostic Core interface, the
-// JSON/HTTP core routes (RegisterCoreRoutes), the Go client, and the
-// snapshot, metrics and sketch-export codecs. The node that serves them —
-// admin routes included — is internal/fabric; fabric.New(cfg, 1) is the
-// single-pool server. The protocol is deliberately plain JSON over HTTP so
+// The package holds the Shard, the transport-agnostic Core interface and
+// its one in-process implementation, ShardSet (a node's shards behind id
+// routing, consistent-hash placement and work stealing), the JSON/HTTP
+// core routes (RegisterCoreRoutes), the Go client, and the snapshot,
+// metrics and sketch-export codecs. The node that serves them — admin
+// routes, durability and replication included — is internal/fabric, whose
+// Fabric embeds a ShardSet; fabric.New(cfg, 1) is the single-pool server. The protocol is deliberately plain JSON over HTTP so
 // any crowd frontend (an MTurk ExternalQuestion iframe, an internal
 // labeling UI) can drive it.
 package server
@@ -126,13 +128,9 @@ type Config struct {
 
 	// MaintenanceThreshold, when positive, enables server-side pool
 	// maintenance: workers whose mean per-record latency exceeds the
-	// threshold (after MaintenanceMinObs completed assignments) are retired
+	// threshold (after maintenanceMinObs completed assignments) are retired
 	// from the pool. Zero disables maintenance.
 	MaintenanceThreshold time.Duration
-
-	// MaintenanceMinObs is the minimum completed assignments before a
-	// worker can be retired. Default 3.
-	MaintenanceMinObs int
 
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
@@ -188,11 +186,9 @@ type Shard struct {
 	// round-trip, dispatch-index hand-out wait). Observations are computed
 	// under mu but recorded after it is released — the recorder has its own
 	// striped locks and must stay off the routing hot path's critical
-	// section. obs carries the transport-level sketches (per-op service
-	// time) shared by the HTTP shim and the wire protocol.
+	// section.
 	latRec     *sketch.Recorder
 	handoutRec *sketch.Recorder
-	obs        *Obs
 
 	// logf, when set, journals one op per durable mutation (write-through;
 	// see AttachJournal). Called with mu held, so ops land in the shard's
@@ -204,10 +200,10 @@ type Shard struct {
 	labelSink func(LabelEvent)
 
 	// orphans are assignments whose worker was removed while holding a task
-	// that lives on another shard (work stealing). The fabric drains them
+	// that lives on another shard (work stealing). The ShardSet drains them
 	// and releases the active slots on the owning shards; a lone shard
 	// never produces any (every assignment is local). orphanCount
-	// mirrors len(orphans) so DrainOrphans can skip the lock when empty.
+	// mirrors len(orphans) so drainOrphans can skip the lock when empty.
 	orphans     []Orphan
 	orphanCount atomic.Int32
 
@@ -244,9 +240,6 @@ func normalize(cfg Config) Config {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaintenanceMinObs == 0 {
-		cfg.MaintenanceMinObs = 3
-	}
 	cfg.Costs.fillDefaults()
 	return cfg
 }
@@ -273,7 +266,6 @@ func NewShard(cfg Config, index, count int) *Shard {
 		retired:      make(map[int]bool),
 		latRec:       sketch.NewRecorder(sketch.DefaultCompression),
 		handoutRec:   sketch.NewRecorder(sketch.DefaultCompression),
-		obs:          NewObs(cfg.Now),
 	}
 }
 
@@ -301,24 +293,6 @@ func (s *Shard) stripeNext(cur int) int {
 	}
 	k := (cur - base) / stride
 	return base + (k+1)*stride
-}
-
-// join admits a worker and returns its id.
-func (s *Shard) join(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextWorker = s.stripeNext(s.nextWorker)
-	pw := &poolWorker{
-		id:       s.nextWorker,
-		name:     name,
-		joinedAt: s.cfg.Now(),
-		lastSeen: s.cfg.Now(),
-	}
-	s.workers[pw.id] = pw
-	s.poolSize.Store(int32(len(s.workers)))
-	s.logOp(journal.Op{T: journal.OpJoin, Worker: pw.id, Name: name})
-	s.startWait(pw)
-	return pw.id
 }
 
 // removeWorker drops the worker from the pool, settling their wait pay

@@ -8,17 +8,17 @@ import (
 	"time"
 )
 
-// newTestServer serves one shard's core routes over HTTP and returns a
-// client for them plus the shard itself, whose admin views (counters,
+// newTestServer serves a 1-shard set's core routes over HTTP and returns a
+// client for them plus the set's shard, whose admin views (counters,
 // costs, workers, snapshots) the tests read directly.
 func newTestServer(t *testing.T, cfg Config) (*Client, *Shard) {
 	t.Helper()
-	s := NewShard(cfg, 0, 1)
+	set := NewShardSet(cfg, 1, 0, 1)
 	mux := http.NewServeMux()
-	RegisterCoreRoutes(mux, s)
+	RegisterCoreRoutes(mux, set)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL), s
+	return NewClient(ts.URL), set.Shards()[0]
 }
 
 func TestJoinFetchSubmitRoundTrip(t *testing.T) {

@@ -12,22 +12,33 @@ import (
 	"github.com/clamshell/clamshell/internal/worker"
 )
 
-// The exported Shard API: the building blocks the fabric router composes
-// into the retainer-pool protocol. Every method takes the shard's own lock
-// and returns — a method never calls into another shard, so the fabric can
-// sequence calls across shards without any lock-ordering hazard. The
-// Shard's own Core methods (core.go) use the same internals under a single
-// lock acquisition.
+// The Shard API: the building blocks ShardSet (shardset.go) composes into
+// the retainer-pool protocol. Every method takes the shard's own lock and
+// returns — a method never calls into another shard, so the set can
+// sequence calls across shards without any lock-ordering hazard.
 
 // Join admits a worker into this shard's retainer pool and returns its
 // globally-unique id (the id encodes the shard: (id-1) mod count == index).
 func (s *Shard) Join(name string) int {
-	return s.join(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextWorker = s.stripeNext(s.nextWorker)
+	pw := &poolWorker{
+		id:       s.nextWorker,
+		name:     name,
+		joinedAt: s.cfg.Now(),
+		lastSeen: s.cfg.Now(),
+	}
+	s.workers[pw.id] = pw
+	s.poolSize.Store(int32(len(s.workers)))
+	s.logOp(journal.Op{T: journal.OpJoin, Worker: pw.id, Name: name})
+	s.startWait(pw)
+	return pw.id
 }
 
-// Heartbeat refreshes a worker's liveness. It reports false for a worker
+// heartbeat refreshes a worker's liveness. It reports false for a worker
 // this shard does not know.
-func (s *Shard) Heartbeat(workerID int) bool {
+func (s *Shard) heartbeat(workerID int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pw, ok := s.workers[workerID]
@@ -38,9 +49,9 @@ func (s *Shard) Heartbeat(workerID int) bool {
 	return true
 }
 
-// Leave removes a worker; any local assignment returns to the queue, and a
-// stolen assignment is left for the fabric to release via DrainOrphans.
-func (s *Shard) Leave(workerID int) {
+// leave removes a worker; any local assignment returns to the queue, and a
+// stolen assignment is left for the set to release via drainOrphans.
+func (s *Shard) leave(workerID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.removeWorker(workerID, "leave")
@@ -77,11 +88,11 @@ const (
 	FetchIdle
 )
 
-// BeginFetch expires stale workers, refreshes the polling worker's
+// beginFetch expires stale workers, refreshes the polling worker's
 // liveness and classifies it. When the state is FetchCurrent, current is
 // the in-flight task id (which may live on another shard if the work was
 // stolen).
-func (s *Shard) BeginFetch(workerID int) (current int, st FetchState) {
+func (s *Shard) beginFetch(workerID int) (current int, st FetchState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireWorkers()
@@ -99,9 +110,9 @@ func (s *Shard) BeginFetch(workerID int) (current int, st FetchState) {
 	return 0, FetchIdle
 }
 
-// TaskPayload returns the assignment payload for a task on this shard
+// taskPayload returns the assignment payload for a task on this shard
 // (re-delivery of an in-flight assignment).
-func (s *Shard) TaskPayload(taskID int) (Assignment, bool) {
+func (s *Shard) taskPayload(taskID int) (Assignment, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u, ok := s.tasks[taskID]
@@ -111,16 +122,12 @@ func (s *Shard) TaskPayload(taskID int) (Assignment, bool) {
 	return s.assignmentOf(u), true
 }
 
-// PoolSize reports the shard's current worker-pool size without taking the
-// shard lock (join-time placement reads it on every join).
-func (s *Shard) PoolSize() int { return int(s.poolSize.Load()) }
-
-// PickLocal picks a task on this shard for one of its own idle workers and
+// pickLocal picks a task on this shard for one of its own idle workers and
 // assigns it (ends the paid-wait span, marks the unit active). starvedOnly
-// restricts the pass to tasks still missing primary answers, so the fabric
+// restricts the pass to tasks still missing primary answers, so the set
 // can order local starved → stolen starved → speculative. It reports
 // false when the shard has nothing for this worker.
-func (s *Shard) PickLocal(workerID int, starvedOnly bool) (Assignment, bool) {
+func (s *Shard) pickLocal(workerID int, starvedOnly bool) (Assignment, bool) {
 	s.mu.Lock()
 	pw, ok := s.workers[workerID]
 	if !ok || pw.current != 0 {
@@ -150,14 +157,14 @@ func (s *Shard) PickLocal(workerID int, starvedOnly bool) (Assignment, bool) {
 	return a, true
 }
 
-// PickSteal picks a task on this shard for a worker homed on another shard
+// pickSteal picks a task on this shard for a worker homed on another shard
 // (work stealing) and marks it active for that worker. starvedOnly
-// restricts the pass to tasks still missing primary answers, so the fabric
+// restricts the pass to tasks still missing primary answers, so the set
 // can exhaust starved work everywhere before handing out speculative
 // straggler duplicates — keeping the paper's starved-before-speculative
 // ordering fabric-wide. The caller completes the assignment on the
-// worker's home shard with AssignStolen, or rolls back with ReleaseActive.
-func (s *Shard) PickSteal(workerID int, starvedOnly bool) (taskID int, payload Assignment, ok bool) {
+// worker's home shard with assignStolen, or rolls back with releaseActive.
+func (s *Shard) pickSteal(workerID int, starvedOnly bool) (taskID int, payload Assignment, ok bool) {
 	s.mu.Lock()
 	u := s.pickPart(dispatchStarved, workerID)
 	if u == nil && !starvedOnly {
@@ -191,11 +198,11 @@ func handoutWait(u *workUnit, at time.Time) (float64, bool) {
 	return d, true
 }
 
-// AssignStolen records a stolen assignment on the worker's home shard. It
+// assignStolen records a stolen assignment on the worker's home shard. It
 // reports false if the worker vanished or picked up other work in the
-// meantime — the caller must then roll the steal back with ReleaseActive on
+// meantime — the caller must then roll the steal back with releaseActive on
 // the task's shard.
-func (s *Shard) AssignStolen(workerID, taskID int) bool {
+func (s *Shard) assignStolen(workerID, taskID int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pw, ok := s.workers[workerID]
@@ -208,10 +215,10 @@ func (s *Shard) AssignStolen(workerID, taskID int) bool {
 	return true
 }
 
-// ReleaseActive clears a worker's active mark on a task: the rollback half
+// releaseActive clears a worker's active mark on a task: the rollback half
 // of a failed steal, and the release path for orphaned cross-shard
 // assignments.
-func (s *Shard) ReleaseActive(taskID, workerID int) {
+func (s *Shard) releaseActive(taskID, workerID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if u, ok := s.tasks[taskID]; ok {
@@ -220,12 +227,12 @@ func (s *Shard) ReleaseActive(taskID, workerID int) {
 	}
 }
 
-// ClearAssignment drops a worker's in-flight assignment if it still points
+// clearAssignment drops a worker's in-flight assignment if it still points
 // at taskID — the recovery path for a dangling assignment whose payload can
 // no longer be served (e.g. the owning shard was restored away from under a
 // stolen task). The worker returns to the paid-wait state so the caller can
 // hand it fresh work.
-func (s *Shard) ClearAssignment(workerID, taskID int) {
+func (s *Shard) clearAssignment(workerID, taskID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pw, ok := s.workers[workerID]
@@ -236,11 +243,11 @@ func (s *Shard) ClearAssignment(workerID, taskID int) {
 	s.startWait(pw)
 }
 
-// DrainOrphans returns and clears the cross-shard assignments left dangling
-// by removed workers. The fabric releases each on the task's shard. The
+// drainOrphans returns and clears the cross-shard assignments left dangling
+// by removed workers. The set releases each on the task's shard. The
 // atomic emptiness check keeps the (overwhelmingly common) no-orphan case
-// off the shard lock: the fabric calls this on the poll hot path.
-func (s *Shard) DrainOrphans() []Orphan {
+// off the shard lock: the set calls this on the poll hot path.
+func (s *Shard) drainOrphans() []Orphan {
 	if s.orphanCount.Load() == 0 {
 		return nil
 	}
@@ -252,8 +259,8 @@ func (s *Shard) DrainOrphans() []Orphan {
 	return out
 }
 
-// WorkerKnown reports whether the worker is in this shard's pool.
-func (s *Shard) WorkerKnown(workerID int) bool {
+// workerKnown reports whether the worker is in this shard's pool.
+func (s *Shard) workerKnown(workerID int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.workers[workerID]
@@ -286,7 +293,7 @@ const (
 // task's shard: validation, the straggler-termination race, pay accrual
 // and quorum accounting. records is the task's record count (needed by the
 // worker-side half for latency accounting). The worker-side half —
-// FinishAssignment on the worker's home shard — must follow on the success
+// finishAssignment on the worker's home shard — must follow on the success
 // outcomes.
 func (s *Shard) AcceptAnswer(taskID, workerID int, labels []int) (outcome SubmitOutcome, records int, err error) {
 	s.mu.Lock()
@@ -365,7 +372,7 @@ func (s *Shard) acceptAnswerLocked(taskID, workerID int, labels []int) (outcome 
 	return SubmitAccepted, records, evs, nil
 }
 
-// AutoFinalize terminates a pending task with a model-provided answer: the
+// autoFinalize terminates a pending task with a model-provided answer: the
 // hybrid plane's confident-decision path. The task completes immediately —
 // in-flight human assignments settle as terminated stragglers exactly as
 // if a quorum had filled — and the decision is journaled as its own op
@@ -374,7 +381,7 @@ func (s *Shard) acceptAnswerLocked(taskID, workerID int, labels []int) (outcome 
 // quality estimators); the served consensus becomes the model's answer,
 // with provenance on /api/result and /api/consensus. It reports false when
 // the task is unknown, already complete, or labels do not fit the spec.
-func (s *Shard) AutoFinalize(taskID int, labels []int) bool {
+func (s *Shard) autoFinalize(taskID int, labels []int) bool {
 	s.mu.Lock()
 	u, ok := s.tasks[taskID]
 	if !ok || u.done || len(labels) != len(u.spec.Records) {
@@ -407,11 +414,11 @@ func (s *Shard) AutoFinalize(taskID int, labels []int) bool {
 	return true
 }
 
-// Reprioritize moves a pending task to a new dispatch priority: the hybrid
+// reprioritize moves a pending task to a new dispatch priority: the hybrid
 // plane's uncertainty re-bucketing path. The move is journaled so a
 // recovered shard rebuilds the same hand-out order. It reports false when
 // the task is unknown, complete, or already at the given priority.
-func (s *Shard) Reprioritize(taskID, priority int) bool {
+func (s *Shard) reprioritize(taskID, priority int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u, ok := s.tasks[taskID]
@@ -438,11 +445,11 @@ func (s *Shard) repriLocked(u *workUnit, priority int) {
 	}
 }
 
-// FinishAssignment applies the worker-side half of an answer submission on
+// finishAssignment applies the worker-side half of an answer submission on
 // the worker's home shard: clears the in-flight assignment, records the
 // latency observation, refreshes liveness and runs pool maintenance (or
 // restarts the paid-wait span).
-func (s *Shard) FinishAssignment(workerID, taskID, records int) {
+func (s *Shard) finishAssignment(workerID, taskID, records int) {
 	s.mu.Lock()
 	pw, ok := s.workers[workerID]
 	if !ok {
@@ -570,9 +577,9 @@ func (s *Shard) AccruedCosts() metrics.Accounting {
 	return acct
 }
 
-// ResultStatus reports a task's progress and, when complete, its
+// resultStatus reports a task's progress and, when complete, its
 // per-record majority consensus.
-func (s *Shard) ResultStatus(taskID int) (TaskStatus, bool) {
+func (s *Shard) resultStatus(taskID int) (TaskStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u, ok := s.tasks[taskID]
@@ -698,10 +705,6 @@ func (s *Shard) TaskMeta() (order []int, records map[int]int) {
 	}
 	return order, records
 }
-
-// Obs returns the shard's transport observation plane. The HTTP shim and
-// wire transport sniff this off any Core to record per-op service times.
-func (s *Shard) Obs() *Obs { return s.obs }
 
 // RecordLatencySample feeds one per-record latency observation directly
 // into the shard's sketch — the injection point for tests that prove

@@ -221,6 +221,10 @@ func respError(op string, status byte, r *reader) error {
 	return &StatusError{Op: op, Status: status, Msg: r.rest()}
 }
 
+// The single-op methods below send a batch-of-one envelope and decode the
+// response with the batched result type's fill, on a local so nothing
+// escapes: one decoder per response shape.
+
 // Join admits a worker and returns its id.
 func (c *Client) Join(name string) (int, error) {
 	c.mu.Lock()
@@ -229,42 +233,32 @@ func (c *Client) Join(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if status != stOK {
-		return 0, respError("join", status, &r)
-	}
-	id, err := r.uint()
-	if err != nil {
-		return 0, err
-	}
-	return id, r.done()
+	var res JoinResult
+	res.fill(status, &r)
+	return res.ID, res.Err
 }
 
 // Heartbeat keeps the worker alive while waiting.
 func (c *Client) Heartbeat(workerID int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opHeartbeat, worker: workerID})
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return respError("heartbeat", status, &r)
-	}
-	return r.done()
+	return c.simpleOp(request{op: opHeartbeat, worker: workerID}, "heartbeat")
 }
 
 // Leave removes the worker from the pool.
 func (c *Client) Leave(workerID int) error {
+	return c.simpleOp(request{op: opLeave, worker: workerID}, "leave")
+}
+
+// simpleOp round-trips an op whose OK response carries no payload.
+func (c *Client) simpleOp(req request, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opLeave, worker: workerID})
+	r, status, err := c.roundTrip(req)
 	if err != nil {
 		return err
 	}
-	if status != stOK {
-		return respError("leave", status, &r)
-	}
-	return r.done()
+	res := OpResult{op: name}
+	res.fill(status, &r)
+	return res.Err
 }
 
 // SubmitTasks enqueues tasks and returns their ids.
@@ -275,10 +269,9 @@ func (c *Client) SubmitTasks(tasks []server.TaskSpec) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if status != stOK {
-		return nil, respError("tasks", status, &r)
-	}
-	return decodeIDs(&r)
+	var res EnqueueResult
+	res.fill(status, &r)
+	return res.IDs, res.Err
 }
 
 // FetchTask polls for work. ok is false when no work is available yet.
@@ -289,15 +282,9 @@ func (c *Client) FetchTask(workerID int) (a server.Assignment, ok bool, err erro
 	if err != nil {
 		return a, false, err
 	}
-	switch status {
-	case stNoWork:
-		return a, false, r.done()
-	case stOK:
-		a, err = decodeAssignment(&r)
-		return a, err == nil, err
-	default:
-		return a, false, respError("fetch task", status, &r)
-	}
+	var res FetchResult
+	res.fill(status, &r)
+	return res.Assignment, res.OK, res.Err
 }
 
 // Submit sends a completed assignment. terminated reports that the task
@@ -309,14 +296,9 @@ func (c *Client) Submit(workerID, taskID int, labels []int) (accepted, terminate
 	if err != nil {
 		return false, false, err
 	}
-	if status != stOK {
-		return false, false, respError("submit", status, &r)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return false, false, err
-	}
-	return flags&flagAccepted != 0, flags&flagTerminated != 0, r.done()
+	var res SubmitResult
+	res.fill(status, &r)
+	return res.Accepted, res.Terminated, res.Err
 }
 
 // Result fetches a task's status and consensus labels.
@@ -327,10 +309,9 @@ func (c *Client) Result(taskID int) (server.TaskStatus, error) {
 	if err != nil {
 		return server.TaskStatus{}, err
 	}
-	if status != stOK {
-		return server.TaskStatus{}, respError("result", status, &r)
-	}
-	return decodeTaskStatus(&r)
+	var res ResultStatus
+	res.fill(status, &r)
+	return res.Status, res.Err
 }
 
 // ReplPull issues one journal-shipping pull (see ReplPullRequest). The
@@ -409,11 +390,12 @@ func (f *JoinResult) fill(status byte, r *reader) {
 // OpResult is a batched Heartbeat or Leave outcome.
 type OpResult struct {
 	Err error
+	op  string // "heartbeat" or "leave": the prefix of an in-band error
 }
 
 func (f *OpResult) fill(status byte, r *reader) {
 	if status != stOK {
-		f.Err = respError("op", status, r)
+		f.Err = respError(f.op, status, r)
 		return
 	}
 	f.Err = r.done()
@@ -578,6 +560,7 @@ func (b *Batch) Join(name string) *JoinResult {
 // Heartbeat adds a keep-alive to the batch.
 func (b *Batch) Heartbeat(workerID int) *OpResult {
 	f := b.ops.get()
+	f.op = "heartbeat"
 	b.add(request{op: opHeartbeat, worker: workerID}, f)
 	return f
 }
@@ -585,6 +568,7 @@ func (b *Batch) Heartbeat(workerID int) *OpResult {
 // Leave adds a pool departure to the batch.
 func (b *Batch) Leave(workerID int) *OpResult {
 	f := b.ops.get()
+	f.op = "leave"
 	b.add(request{op: opLeave, worker: workerID}, f)
 	return f
 }

@@ -81,8 +81,8 @@ type Server struct {
 	active sync.WaitGroup
 }
 
-// NewServer returns a wire server over core (a *fabric.Fabric or a
-// standalone shard). If the core exposes an observability plane, per-op
+// NewServer returns a wire server over core (a *fabric.Fabric, a
+// server.ShardSet or a fabric.Router). If the core exposes an observability plane, per-op
 // service time and frame-decode time are recorded into it; cores without
 // one are served uninstrumented. A core that exposes replication or
 // snapshot surfaces gets the corresponding control opcodes served.

@@ -31,7 +31,7 @@ func (g *gatedReplCore) ReplRead(req ReplPullRequest) (ReplChunk, error) {
 func TestServeDrainsConnectionsOnListenerClose(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
 	core := &gatedReplCore{
-		Core:    server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1),
+		Core:    server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1),
 		arrived: make(chan struct{}),
 		release: make(chan struct{}),
 	}
@@ -135,16 +135,16 @@ func (k *killCore) CoreHeartbeat(id int) bool {
 // will never come.
 func TestBatchMidBatchConnectionKill(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	core := &killCore{Core: sh, conn: srvConn, after: 5}
+	core := &killCore{Core: set, conn: srvConn, after: 5}
 	go NewServer(core).ServeConn(srvConn)
 	cl, err := NewClient(cliConn)
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	defer cl.Close()
-	w := sh.CoreJoin("alice")
+	w := set.CoreJoin("alice")
 
 	b := cl.NewBatch()
 	slots := make([]*OpResult, 10)

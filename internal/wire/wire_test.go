@@ -35,8 +35,8 @@ func pipeClient(t *testing.T, core server.Core) *Client {
 // shard core: join, enqueue, fetch, redeliver, submit, straggler
 // termination, result, heartbeat, leave, and the protocol's error cases.
 func TestWireEndToEnd(t *testing.T) {
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}, 0, 1)
-	cl := pipeClient(t, sh)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}, 1, 0, 1)
+	cl := pipeClient(t, set)
 
 	w1, err := cl.Join("alice")
 	if err != nil || w1 != 1 {
@@ -129,13 +129,13 @@ func TestWireEndToEnd(t *testing.T) {
 // several concurrent client connections.
 func TestWireTCP(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go NewServer(sh).Serve(l)
+	go NewServer(set).Serve(l)
 
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -180,10 +180,10 @@ func TestWireTCP(t *testing.T) {
 // [Version2, MaxVersion] — is refused before any frame is exchanged.
 func TestWireHandshakeRejectsBadMagic(t *testing.T) {
 	for _, magic := range []string{"XLAMWIR\x01", "CLAMWIR\x00", "CLAMWIR\x03"} {
-		sh := server.NewShard(server.Config{}, 0, 1)
+		set := server.NewShardSet(server.Config{}, 1, 0, 1)
 		cliConn, srvConn := net.Pipe()
 		srvDone := make(chan struct{})
-		go func() { NewServer(sh).ServeConn(srvConn); close(srvDone) }()
+		go func() { NewServer(set).ServeConn(srvConn); close(srvDone) }()
 		cliConn.SetDeadline(time.Now().Add(2 * time.Second))
 		if _, err := cliConn.Write([]byte(magic)); err != nil {
 			t.Fatal(err)
@@ -204,10 +204,10 @@ func TestWireHandshakeRefusesV1(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
 	v1 := []byte(magicPrefix + "\x01")
 
-	sh := server.NewShard(server.Config{}, 0, 1)
+	set := server.NewShardSet(server.Config{}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
 	srvDone := make(chan struct{})
-	go func() { NewServer(sh).ServeConn(srvConn); close(srvDone) }()
+	go func() { NewServer(set).ServeConn(srvConn); close(srvDone) }()
 	cliConn.SetDeadline(time.Now().Add(2 * time.Second))
 	if _, err := cliConn.Write(v1); err != nil {
 		t.Fatal(err)
@@ -235,9 +235,9 @@ func TestWireHandshakeRefusesV1(t *testing.T) {
 // connection keeps working; framing-level corruption drops the connection.
 func TestWireMalformedPayloadKeepsConnection(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	t.Cleanup(func() { cliConn.Close() })
 
 	br := bufio.NewReader(cliConn)
@@ -378,9 +378,9 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 // counts surface through the core's observability plane.
 func TestWireConnStatsAccounting(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	t.Cleanup(func() { cliConn.Close() })
 
 	br := bufio.NewReader(cliConn)
@@ -408,7 +408,7 @@ func TestWireConnStatsAccounting(t *testing.T) {
 		t.Fatalf("truncated join status = %d", st)
 	}
 
-	snap := sh.Obs().ConnSnapshot()
+	snap := set.Obs().ConnSnapshot()
 	if len(snap) != 1 {
 		t.Fatalf("conn snapshot has %d entries, want 1: %+v", len(snap), snap)
 	}

@@ -86,8 +86,8 @@ func TestWireClientPoisonedByFramingError(t *testing.T) {
 // goroutine: the handshake read carries a deadline.
 func TestWireHandshakeDeadline(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{}, 0, 1)
-	ws := NewServer(sh)
+	set := server.NewShardSet(server.Config{}, 1, 0, 1)
+	ws := NewServer(set)
 	ws.HandshakeTimeout = 50 * time.Millisecond
 	cliConn, srvConn := net.Pipe()
 	defer cliConn.Close()
@@ -105,8 +105,8 @@ func TestWireHandshakeDeadline(t *testing.T) {
 // served.
 func TestWireHandshakeDeadlineClearedAfterMagic(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-	ws := NewServer(sh)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
+	ws := NewServer(set)
 	ws.HandshakeTimeout = 50 * time.Millisecond
 	cliConn, srvConn := net.Pipe()
 	go ws.ServeConn(srvConn)
@@ -127,9 +127,9 @@ func TestWireSubmitAndFetch(t *testing.T) {
 	for _, version := range []byte{MaxVersion} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			t.Cleanup(servertest.VerifyNone(t))
-			sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+			set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 			cliConn, srvConn := net.Pipe()
-			go NewServer(sh).ServeConn(srvConn)
+			go NewServer(set).ServeConn(srvConn)
 			cl, err := NewClient(cliConn)
 			if err != nil {
 				t.Fatal(err)
@@ -169,9 +169,9 @@ func TestWireSubmitAndFetch(t *testing.T) {
 // Batches larger than MaxBatch are split transparently across frames.
 func TestWireBatchChunking(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	cl, err := NewClient(cliConn)
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +204,9 @@ func TestWireBatchChunking(t *testing.T) {
 // and do not disturb neighbors or the connection.
 func TestWireBatchMixedOutcomes(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	cl, err := NewClient(cliConn)
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +249,10 @@ func TestWireBatchMixedOutcomes(t *testing.T) {
 // the connection — a protocol violation like an oversized frame.
 func TestWireServerRejectsOversizedBatchCount(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
 	defer cliConn.Close()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	br := bufio.NewReader(cliConn)
 	bw := bufio.NewWriter(cliConn)
 	if err := clientHandshake(br, bw); err != nil {
@@ -277,9 +277,9 @@ func TestWireServerRejectsOversizedBatchCount(t *testing.T) {
 // does NOT poison the client — unlike mid-stream corruption.
 func TestWireOversizedRequestDoesNotPoison(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
+	go NewServer(set).ServeConn(srvConn)
 	cl, err := NewClient(cliConn)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +299,8 @@ func TestWireOversizedRequestDoesNotPoison(t *testing.T) {
 // counted per remote in the observability plane.
 func TestWireRateLimit(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-	ws := NewServer(sh)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
+	ws := NewServer(set)
 	ws.RateLimit = 1e-6 // burst floor of 1: first op passes, then throttled for ages
 	cliConn, srvConn := net.Pipe()
 	go ws.ServeConn(srvConn)
@@ -325,7 +325,7 @@ func TestWireRateLimit(t *testing.T) {
 	if !errors.Is(h1.Err, ErrThrottled) || !errors.Is(h2.Err, ErrThrottled) {
 		t.Fatalf("batched throttle errors = %v / %v, want ErrThrottled", h1.Err, h2.Err)
 	}
-	snap := sh.Obs().ConnSnapshot()
+	snap := set.Obs().ConnSnapshot()
 	if len(snap) != 1 || snap[0].Throttled != 3 || snap[0].Ops != 1 {
 		t.Fatalf("conn snapshot = %+v, want ops=1 throttled=3", snap)
 	}
@@ -364,8 +364,8 @@ func TestWireTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-	go NewServer(sh).Serve(l)
+	set := server.NewShardSet(server.Config{WorkerTimeout: time.Hour}, 1, 0, 1)
+	go NewServer(set).Serve(l)
 
 	pool := x509.NewCertPool()
 	pool.AddCert(leaf)
